@@ -10,17 +10,22 @@ constant below drifts by a w^2 term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ResamplePathError
-from .streams import ROLE_CONSTANTS, substream
+from .streams import ROLE_BM, ROLE_CONSTANTS, substream
 
 # Time integrals below this are treated as degenerate (the exact event has
 # probability zero; reaching the threshold is a float pathology, and the
 # caller should resample from a tagged substream).
 _TIME_INTEGRAL_FLOOR = 1e-12
+
+# Replacement draws tried per degenerate path.  On a sound grid the floor
+# is hit with vanishing probability; at m = 1 every path has Q = 0, and
+# the retries would otherwise never end.
+_MAX_RESAMPLE_ATTEMPTS = 64
 
 # Rows per generation batch, sized so a batch stays near 16 MiB of draws.
 _BATCH_VALUES = 1 << 21
@@ -157,14 +162,15 @@ def _batch_rows(m: int) -> int:
 
 
 def limit_sample_batch(
-    p: LimitParams, m: int, reps: int, base_seed: int, role: int = 1
+    p: LimitParams, m: int, reps: int, base_seed: int, role: int = ROLE_BM
 ) -> dict:
     """Vectorized limit_sample over ``reps`` paths.
 
     Draws are keyed by (base_seed, role, batch index) with a fixed batch
     width, so results do not depend on how the loop is scheduled.
     Degenerate paths (time integral under the floor) are replaced from
-    attempt-tagged substreams and counted.
+    attempt-tagged substreams and counted; ResamplePathError is raised
+    when a path finds no replacement in _MAX_RESAMPLE_ATTEMPTS tries.
     """
     fpe = np.empty(reps)
     mse = np.empty(reps)
@@ -182,8 +188,7 @@ def limit_sample_batch(
         lev = np.concatenate((np.zeros((take, 1)), wa), axis=1)
         q = np.einsum("ij,ij->i", lev[:, :-1], lev[:, :-1]) / m
         for r in np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]:
-            attempt = 1
-            while True:
+            for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
                 sub = substream(base_seed, role, start + int(r), attempt)
                 z2 = sub.standard_normal((m, 2)) * scale
                 la = np.concatenate(([0.0], np.cumsum(z2[:, 0])))
@@ -192,7 +197,11 @@ def limit_sample_batch(
                     lev[r] = la
                     q[r] = time_integral_sq(la)
                     break
-                attempt += 1
+            else:
+                raise ResamplePathError(
+                    f"path {start + int(r)}: time integral below {_TIME_INTEGRAL_FLOOR} "
+                    f"on {_MAX_RESAMPLE_ATTEMPTS} resamples"
+                )
             resampled += 1
         i_aa = np.einsum("ij,ij->i", lev[:, :-1], dwa)
         i_ab = np.einsum("ij,ij->i", lev[:, :-1], dwb)
@@ -216,17 +225,6 @@ class ConstantEstimate:
     seed: int | None
     source: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "se": self.se,
-            "m": self.m,
-            "reps": self.reps,
-            "seed": self.seed,
-            "source": self.source,
-        }
-
 
 # Two-digit constants as printed in the source analysis; usable wherever a
 # formula needs K1/K2 without paying for re-estimation.
@@ -249,17 +247,8 @@ class ConstantsReport:
     k2_gap: float
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "reps": self.reps,
-            "seed": self.seed,
-            "k1": self.k1.as_dict(),
-            "k2": self.k2.as_dict(),
-            "k1_refined": self.k1_refined.as_dict(),
-            "k2_refined": self.k2_refined.as_dict(),
-            "k1_gap": self.k1_gap,
-            "k2_gap": self.k2_gap,
-        }
+        """JSON-ready nested dict; keys follow field order."""
+        return asdict(self)
 
 
 def estimate_constants(

@@ -11,7 +11,9 @@ varsigma = 1; the stationary contrast requires |varsigma| < 1.  The "all"
 subcommand runs whichever checks the config's mode supports and reports
 the others as skipped.
 
-Exit codes: 0 pass, 1 failed comparison under --strict, 2 bad config.
+Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
+comparison under --strict, 2 a bad config, 3 paths that cannot be scored
+(DegenerateRateError, or ResamplePathError once the resample cap is hit).
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 from . import brownian, monte_carlo, reporting
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateRateError, ResamplePathError
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
 from .monte_carlo import ExperimentConfig
@@ -72,16 +75,6 @@ class RunManifest:
     workers: int
     artifacts: dict[str, str]
 
-    def as_dict(self) -> dict:
-        return {
-            "config_path": self.config_path,
-            "subcommand": self.subcommand,
-            "out_dir": self.out_dir,
-            "base_seed": self.base_seed,
-            "workers": self.workers,
-            "artifacts": self.artifacts,
-        }
-
 
 class _Section:
     """One config section with typed, error-collecting key access."""
@@ -108,18 +101,14 @@ class _Section:
             self.problems.append(f"[{self.name}] unknown key {key!r}")
 
 
-def _float_tuple(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return tuple(float(p) for p in parts)
+def _list_of(kind):
+    """Parser for a comma- or space-separated list of ``kind`` values."""
 
+    def parse(text: str) -> tuple:
+        return tuple(kind(p) for p in text.replace(",", " ").split())
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return tuple(int(p) for p in parts)
-
-
-def _name_tuple(text: str) -> tuple[str, ...]:
-    return tuple(p for p in text.replace(",", " ").split() if p)
+    parse.__name__ = f"list of {kind.__name__}"
+    return parse
 
 
 def _build(cls, problems: list, **kwargs):
@@ -158,7 +147,7 @@ def load_run(text: str) -> tuple[ExperimentConfig, Targets]:
     filt = section("filter")
     fkwargs = dict(
         family=filt.take("family", str, "finite"),
-        coeffs=filt.take("coeffs", _float_tuple),
+        coeffs=filt.take("coeffs", _list_of(float)),
         a=filt.take("a", float),
         r=filt.take("r", float),
         p=filt.take("p", float),
@@ -183,10 +172,10 @@ def load_run(text: str) -> tuple[ExperimentConfig, Targets]:
 
     exp = section("experiment")
     ekwargs = dict(
-        n_grid=exp.take("n_grid", _int_tuple, (500,)),
+        n_grid=exp.take("n_grid", _list_of(int), (500,)),
         reps=exp.take("reps", int, 1000),
         base_seed=exp.take("base_seed", int, 0),
-        statistics=exp.take("statistics", _name_tuple, ("fpe_stat",)),
+        statistics=exp.take("statistics", _list_of(str), ("fpe_stat",)),
         out_dir=exp.take("out_dir", str),
     )
     exp.finish()
@@ -291,10 +280,22 @@ def _require_unit_root(config, name):
         )
 
 
-def _run_fpe(config, targets, out_dir, workers):
+def _require_ape_grid(config):
+    _require_unit_root(config, "ape-curve")
+    if len(config.n_grid) < 3:
+        raise ConfigError(
+            [f"ape-curve needs n_grid with >= 3 points to fit a slope, got {len(config.n_grid)}"]
+        )
+
+
+def _grid_summaries(config, statistic, columns):
+    cfg = replace(config, statistics=(statistic,))
+    return [s for n in config.n_grid for s in monte_carlo.summarize(cfg, n, columns(n))]
+
+
+def _run_fpe(config, targets, out_dir, workers, columns):
     _require_unit_root(config, "fpe")
-    cfg = replace(config, statistics=("fpe_stat",))
-    summaries = monte_carlo.run(cfg, workers=workers)
+    summaries = _grid_summaries(config, "fpe_stat", columns)
     target = 2.0 * config.innovations.sigma_sq
     rows = [
         _row(
@@ -308,21 +309,16 @@ def _run_fpe(config, targets, out_dir, workers):
     arts = [
         reporting.write_summary_csv(Path(out_dir) / "fpe_summary.csv", summaries),
         reporting.write_json(
-            Path(out_dir) / "fpe_summary.json", [s.as_dict() for s in summaries]
+            Path(out_dir) / "fpe_summary.json", [asdict(s) for s in summaries]
         ),
     ]
     # asymptotic claim: judged at the largest n, earlier rows are context
     return rows, rows[-1]["passed"], arts
 
 
-def _run_ape(config, targets, out_dir, workers):
-    _require_unit_root(config, "ape-curve")
-    if len(config.n_grid) < 3:
-        raise ConfigError(
-            [f"ape-curve needs n_grid with >= 3 points to fit a slope, got {len(config.n_grid)}"]
-        )
-    cfg = replace(config, statistics=("excess_ape",))
-    summaries = monte_carlo.run(cfg, workers=workers)
+def _run_ape(config, targets, out_dir, workers, columns):
+    _require_ape_grid(config)
+    summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
     target = 2.0 * config.innovations.sigma_sq
     rows = [
@@ -335,16 +331,15 @@ def _run_ape(config, targets, out_dir, workers):
         reporting.write_summary_csv(Path(out_dir) / "ape_curve.csv", summaries),
         reporting.write_json(
             Path(out_dir) / "ape_curve.json",
-            {"slope": slope, "target": target, "grid": [s.as_dict() for s in summaries]},
+            {"slope": slope, "target": target, "grid": [asdict(s) for s in summaries]},
         ),
     ]
     return rows, slope_row["passed"], arts
 
 
-def _run_mse(config, targets, out_dir, workers):
+def _run_mse(config, targets, out_dir, workers, columns):
     _require_unit_root(config, "mse")
-    cfg = replace(config, statistics=("norm_est_sq",))
-    summaries = monte_carlo.run(cfg, workers=workers)
+    summaries = _grid_summaries(config, "norm_est_sq", columns)
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     target = brownian.mse_limit_formula(params)
@@ -361,13 +356,13 @@ def _run_mse(config, targets, out_dir, workers):
         reporting.write_summary_csv(Path(out_dir) / "mse_summary.csv", summaries),
         reporting.write_json(
             Path(out_dir) / "mse_summary.json",
-            {"target": target, "grid": [s.as_dict() for s in summaries]},
+            {"target": target, "grid": [asdict(s) for s in summaries]},
         ),
     ]
     return rows, rows[-1]["passed"], arts
 
 
-def _run_constants(config, targets, out_dir, workers):
+def _run_constants(config, targets, out_dir, workers, columns):
     report = brownian.estimate_constants(
         m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed
     )
@@ -389,8 +384,10 @@ def _run_constants(config, targets, out_dir, workers):
     return rows, all(r["passed"] for r in rows), arts
 
 
-def _run_cross(config, targets, out_dir, workers):
-    out = monte_carlo.cross_moment(config, workers=workers)
+def _run_cross(config, targets, out_dir, workers, columns):
+    _require_unit_root(config, "cross-moment")
+    n = config.n_grid[-1]
+    out = monte_carlo.cross_moment_from(columns(n), n)
     iv = config.innovations
     rho = iv.pi / iv.sigma_omega_sq
     joint_target = 2.0 * iv.sigma_sq
@@ -427,7 +424,7 @@ def _run_cross(config, targets, out_dir, workers):
     return rows, all(r["passed"] for r in rows), arts
 
 
-def _run_stationary(config, targets, out_dir, workers):
+def _run_stationary(config, targets, out_dir, workers, columns):
     out = monte_carlo.stationary_comparison(config, workers=workers)
     sigma_sq = config.innovations.sigma_sq
     rows = [
@@ -449,10 +446,10 @@ def _run_stationary(config, targets, out_dir, workers):
     return rows, all(r["passed"] for r in rows), arts
 
 
-def _run_limit_check(config, targets, out_dir, workers):
+def _run_limit_check(config, targets, out_dir, workers, columns):
     _require_unit_root(config, "limit-check")
     n = config.n_grid[-1]
-    arrays = monte_carlo.sample_statistics(config, n, want_ape=False, workers=workers)
+    arrays = columns(n)
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     draws = brownian.limit_sample_batch(
@@ -513,16 +510,33 @@ def dispatch(
 
     Returns (number of failed comparisons, manifest).  Artifacts and the
     manifest are byte-deterministic for a fixed config and seed.
+
+    Each grid point is simulated at most once: every check reads the
+    columns of one ``sample_statistics`` call per n, drawn with APE exactly
+    when ape-curve runs (the other columns do not depend on that choice).
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
     stream = stream if stream is not None else sys.stdout
     names = list(_HANDLERS) if subcommand == "all" else [subcommand]
+    want_ape = "ape-curve" in names
+    if want_ape:
+        try:
+            _require_ape_grid(config)
+        except ConfigError:
+            want_ape = False
+
+    @cache
+    def columns(n):
+        return monte_carlo.sample_statistics(config, n, want_ape=want_ape, workers=workers)
+
     failures = 0
     artifacts: list[Path] = []
     for name in names:
         try:
-            rows, passed, arts = _HANDLERS[name](config, targets or Targets(), out_dir, workers)
+            rows, passed, arts = _HANDLERS[name](
+                config, targets or Targets(), out_dir, workers, columns
+            )
         except ConfigError as exc:
             if subcommand != "all":
                 raise
@@ -543,7 +557,7 @@ def dispatch(
         workers=workers,
         artifacts={p.name: reporting.checksum(p) for p in artifacts},
     )
-    reporting.write_json(Path(out_dir) / "manifest.json", manifest.as_dict())
+    reporting.write_json(Path(out_dir) / "manifest.json", asdict(manifest))
     return failures, manifest
 
 
@@ -585,6 +599,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
+    except (DegenerateRateError, ResamplePathError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if failures and args.strict:
         return 1
     return 0

@@ -33,6 +33,11 @@ class ReconstructionError(RuntimeError):
     usually because the filter does not match the trajectory."""
 
 
+class DegenerateRateError(RuntimeError):
+    """Too many finite-n paths on which no prediction can be scored: the
+    model itself cannot be scored, so resampling would not end."""
+
+
 class ResamplePathError(RuntimeError):
     """Brownian path with a numerically degenerate time integral; the
     caller should draw a replacement path from a tagged substream."""

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import signal
 
 from . import brownian
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateRateError
 from .innovations import InnovationSpec, _standardized, derived_correlation
 from .linear_process import FilterSpec, materialize_filter, stationary_burn_in
 from .streams import ROLE_PATH, substream
@@ -108,17 +108,6 @@ class McSummary:
     reps: int
     seed: int
     ratio: float | None  # mean over its asymptotic target, when one exists
-
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "n": self.n,
-            "mean": self.mean,
-            "mc_se": self.mc_se,
-            "reps": self.reps,
-            "seed": self.seed,
-            "ratio": self.ratio,
-        }
 
 
 def _degenerate_mask(u: np.ndarray) -> np.ndarray:
@@ -237,7 +226,7 @@ def _chunk_worker(args) -> tuple[dict, int]:
             failed = [pending[j] for j in np.nonzero(bad)[0]]
             failures += len(failed)
             if failures > max_failures:
-                raise RuntimeError(
+                raise DegenerateRateError(
                     f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} "
                     f"({failures} resample events); model cannot score predictions"
                 )
@@ -286,7 +275,7 @@ def sample_statistics(
             results = list(pool.map(_chunk_worker, chunks))
     failures = sum(r[1] for r in results)
     if failures > max_failures:
-        raise RuntimeError(
+        raise DegenerateRateError(
             f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} "
             f"({failures} resample events over {config.reps} reps)"
         )
@@ -331,26 +320,32 @@ def _ratio_target(config: ExperimentConfig, statistic: str, n: int) -> float | N
     return None
 
 
+def summarize(config: ExperimentConfig, n: int, columns: dict) -> list[McSummary]:
+    """Mean and MC standard error of each requested statistic in the
+    ``sample_statistics`` columns at one n."""
+    summaries = []
+    for stat in [s for s in config.statistics if s != "cross_moment"]:
+        mean, se = _mean_se(columns[stat])
+        target = _ratio_target(config, stat, n)
+        summaries.append(
+            McSummary(
+                statistic=stat,
+                n=n,
+                mean=mean,
+                mc_se=se if config.reps >= 30 else None,
+                reps=config.reps,
+                seed=config.base_seed,
+                ratio=mean / target if target else None,
+            )
+        )
+    return summaries
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> list[McSummary]:
     """Mean and MC standard error of each requested statistic at each n."""
-    scalar_stats = [s for s in config.statistics if s != "cross_moment"]
     summaries = []
     for n in config.n_grid:
-        arrays = sample_statistics(config, n, workers=workers)
-        for stat in scalar_stats:
-            mean, se = _mean_se(arrays[stat])
-            target = _ratio_target(config, stat, n)
-            summaries.append(
-                McSummary(
-                    statistic=stat,
-                    n=n,
-                    mean=mean,
-                    mc_se=se if config.reps >= 30 else None,
-                    reps=config.reps,
-                    seed=config.base_seed,
-                    ratio=mean / target if target else None,
-                )
-            )
+        summaries += summarize(config, n, sample_statistics(config, n, workers=workers))
     return summaries
 
 
@@ -362,6 +357,59 @@ def ape_slope(summaries: list[McSummary]) -> float:
     lx = np.array([p[0] for p in pts])
     ly = np.array([p[1] for p in pts])
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def _moment_contrast(a: np.ndarray, b: np.ndarray) -> tuple[dict, tuple]:
+    """Joint moment E[ab] against the product of marginals E[a] E[b].
+
+    The product's standard error is the delta method's, with the sample
+    covariance of (a, b) as the cross term.  Returns the contrast's report
+    fields and the marginal (mean_a, se_a, mean_b, se_b, cov_ab).
+    """
+    r = len(a)
+    joint, joint_se = _mean_se(a * b)
+    mean_a, se_a = _mean_se(a)
+    mean_b, se_b = _mean_se(b)
+    cov_ab = float(np.sum((a - mean_a) * (b - mean_b)) / (r - 1))
+    product = mean_a * mean_b
+    product_se = math.sqrt(
+        max(
+            mean_b**2 * se_a**2
+            + mean_a**2 * se_b**2
+            + 2.0 * mean_a * mean_b * cov_ab / r,
+            0.0,
+        )
+    )
+    contrast = {
+        "reps": r,
+        "joint": joint,
+        "joint_se": joint_se,
+        "product": product,
+        "product_se": product_se,
+    }
+    return contrast, (mean_a, se_a, mean_b, se_b, cov_ab)
+
+
+def cross_moment_from(columns: dict, n: int) -> dict:
+    """cross_moment over ``sample_statistics`` columns already drawn at n."""
+    a = columns["x_n_sq_over_n"]
+    b = columns["norm_est_sq"]
+    contrast, (mean_a, se_a, mean_b, se_b, cov_ab) = _moment_contrast(a, b)
+    r = len(a)
+    sd_a = math.sqrt(float(np.sum((a - mean_a) ** 2) / (r - 1)))
+    sd_b = math.sqrt(float(np.sum((b - mean_b) ** 2) / (r - 1)))
+    corr = cov_ab / (sd_a * sd_b)
+    corr_se = (1.0 - corr**2) / math.sqrt(r - 3)
+    return {
+        "n": n,
+        **contrast,
+        "mean_x_n_sq_over_n": mean_a,
+        "se_x_n_sq_over_n": se_a,
+        "mean_norm_est_sq": mean_b,
+        "se_norm_est_sq": se_b,
+        "corr": corr,
+        "corr_se": corr_se,
+    }
 
 
 def cross_moment(
@@ -377,41 +425,8 @@ def cross_moment(
         raise ConfigError(["cross_moment requires unit-root mode (varsigma = 1)"])
     if n is None:
         n = config.n_grid[-1]
-    arrays = sample_statistics(config, n, want_ape=False, workers=workers)
-    a = arrays["x_n_sq_over_n"]
-    b = arrays["norm_est_sq"]
-    joint, joint_se = _mean_se(arrays["fpe_stat"])
-    mean_a, se_a = _mean_se(a)
-    mean_b, se_b = _mean_se(b)
-    r = len(a)
-    cov_ab = float(np.sum((a - mean_a) * (b - mean_b)) / (r - 1))
-    product = mean_a * mean_b
-    product_se = math.sqrt(
-        max(
-            mean_b**2 * se_a**2
-            + mean_a**2 * se_b**2
-            + 2.0 * mean_a * mean_b * cov_ab / r,
-            0.0,
-        )
-    )
-    sd_a = math.sqrt(float(np.sum((a - mean_a) ** 2) / (r - 1)))
-    sd_b = math.sqrt(float(np.sum((b - mean_b) ** 2) / (r - 1)))
-    corr = cov_ab / (sd_a * sd_b)
-    corr_se = (1.0 - corr**2) / math.sqrt(r - 3)
-    return {
-        "n": n,
-        "reps": r,
-        "joint": joint,
-        "joint_se": joint_se,
-        "product": product,
-        "product_se": product_se,
-        "mean_x_n_sq_over_n": mean_a,
-        "se_x_n_sq_over_n": se_a,
-        "mean_norm_est_sq": mean_b,
-        "se_norm_est_sq": se_b,
-        "corr": corr,
-        "corr_se": corr_se,
-    }
+    columns = sample_statistics(config, n, want_ape=False, workers=workers)
+    return cross_moment_from(columns, n)
 
 
 def stationary_comparison(
@@ -431,33 +446,13 @@ def stationary_comparison(
     arrays = sample_statistics(config, n, want_ape=False, workers=workers)
     a = arrays["x_n_sq"]
     b = arrays["n_est_sq"]
-    joint, joint_se = _mean_se(a * b)
-    mean_a, _ = _mean_se(a)
-    mean_b, _ = _mean_se(b)
-    r = len(a)
-    cov_ab = float(np.sum((a - mean_a) * (b - mean_b)) / (r - 1))
-    se_a = math.sqrt(float(np.sum((a - mean_a) ** 2) / (r - 1)) / r)
-    se_b = math.sqrt(float(np.sum((b - mean_b) ** 2) / (r - 1)) / r)
-    product = mean_a * mean_b
-    product_se = math.sqrt(
-        max(
-            mean_b**2 * se_a**2
-            + mean_a**2 * se_b**2
-            + 2.0 * mean_a * mean_b * cov_ab / r,
-            0.0,
-        )
-    )
+    contrast, (mean_a, _, mean_b, _, _) = _moment_contrast(a, b)
     q = (a - mean_a) * (b - mean_b)
-    diff_se = _mean_se(q)[1]
     return {
         "n": n,
-        "reps": r,
-        "joint": joint,
-        "joint_se": joint_se,
-        "product": product,
-        "product_se": product_se,
-        "diff": joint - product,
-        "diff_se": diff_se,
+        **contrast,
+        "diff": contrast["joint"] - contrast["product"],
+        "diff_se": _mean_se(q)[1],
     }
 
 

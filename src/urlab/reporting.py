@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 SUMMARY_COLUMNS = ("statistic", "n", "mean", "mc_se", "reps", "seed")
@@ -44,7 +45,7 @@ def write_text(path, text: str) -> Path:
 
 
 def write_summary_csv(path, summaries) -> Path:
-    rows = [s.as_dict() for s in summaries]
+    rows = [asdict(s) for s in summaries]
     return write_text(path, render_csv(rows, SUMMARY_COLUMNS))
 
 

@@ -121,16 +121,6 @@ class PathStats:
     x_n_sq_over_n: float
     beta_hat_final: float
 
-    def as_dict(self) -> dict:
-        return {
-            "ape": self.ape,
-            "excess_ape": self.excess_ape,
-            "fpe_stat": self.fpe_stat,
-            "norm_est_sq": self.norm_est_sq,
-            "x_n_sq_over_n": self.x_n_sq_over_n,
-            "beta_hat_final": self.beta_hat_final,
-        }
-
 
 def run_path(traj: Trajectory) -> PathStats:
     """Feed a trajectory's pairs through one RlsState and score it.

@@ -12,6 +12,7 @@ from urlab import (
     FilterSpec,
     InnovationSpec,
     LimitParams,
+    ResamplePathError,
     estimate_constants,
     ito_integral,
     limit_sample,
@@ -20,6 +21,7 @@ from urlab import (
     mse_limit_formula,
     time_integral_sq,
 )
+from urlab import brownian
 from urlab.streams import ROLE_BM, substream
 
 # E[1 / int_0^1 W^2] via the Laplace transform E e^{-sQ} = cosh(sqrt(2s))^{-1/2},
@@ -151,6 +153,15 @@ def test_batch_deterministic_and_seed_sensitive():
     assert np.array_equal(a["mse_limit_draw"], b["mse_limit_draw"])
     assert not np.array_equal(a["fpe_limit_draw"], c["fpe_limit_draw"])
     assert a["resampled"] == 0
+
+
+def test_resampling_is_bounded(monkeypatch):
+    # m = 1 has Q = 0 on every path: no replacement can ever pass the floor
+    with pytest.raises(ResamplePathError, match="resamples"):
+        limit_sample_batch(unit_params(), 1, 4, base_seed=0)
+    monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", math.inf)
+    with pytest.raises(ResamplePathError, match="resamples"):
+        limit_sample_batch(unit_params(), 16, 4, base_seed=0)
 
 
 def test_fpe_draw_mean_near_two_sigma_sq():

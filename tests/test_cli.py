@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from urlab import ConfigError, ExperimentConfig, FilterSpec, InnovationSpec
+from urlab import ConfigError, ExperimentConfig, FilterSpec, InnovationSpec, monte_carlo
 from urlab.cli import (
     Targets,
     dispatch,
@@ -161,6 +161,37 @@ def test_all_skips_checks_the_mode_cannot_support(tmp_path):
         )
 
 
+def test_all_simulates_each_point_once_with_standalone_bits(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        filter_spec=FilterSpec(family="geometric", a=1.0, r=0.5),
+        innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+        n_grid=(40, 80, 160),
+        reps=1000,
+        base_seed=3,
+    )
+    targets = Targets(m_log2=6, bm_reps=2000, limit_reps=1000)
+    simulated = []
+    engine = monte_carlo.sample_statistics
+
+    def counted(config, n, *args, **kwargs):
+        simulated.append(n)
+        return engine(config, n, *args, **kwargs)
+
+    monkeypatch.setattr(monte_carlo, "sample_statistics", counted)
+    _, together = dispatch(
+        "all", config, targets, out_dir=tmp_path / "all", stream=io.StringIO()
+    )
+    assert simulated == list(config.n_grid)
+
+    alone = {}
+    for name in ("fpe", "ape-curve", "mse", "constants", "cross-moment", "limit-check"):
+        _, man = dispatch(
+            name, config, targets, out_dir=tmp_path / name, stream=io.StringIO()
+        )
+        alone.update(man.artifacts)
+    assert together.artifacts == alone
+
+
 def test_dispatch_writes_deterministic_artifacts(tmp_path):
     cfg, targets = load_run(FAST_RUN)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -218,6 +249,19 @@ def test_main_exit_codes(tmp_path):
     hard.write_text(FAST_RUN.replace("fpe_floor = 0.5", "fpe_floor = 1e-12\nse_mult = 1e-12"))
     assert main(["fpe", str(hard), "--out", str(tmp_path / "o2")]) == 0
     assert main(["fpe", str(hard), "--out", str(tmp_path / "o3"), "--strict"]) == 1
+
+
+def test_unscoreable_model_exits_3_without_traceback(tmp_path, capsys):
+    # first tap 0 with n=3: no regressor can appear before the final pair
+    ini = tmp_path / "degenerate.ini"
+    ini.write_text(
+        "[filter]\nfamily = finite\ncoeffs = 0.0, 1.0\n\n[innovations]\npi = 1.0\n\n"
+        "[experiment]\nn_grid = 3\nreps = 200\n"
+    )
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate-path rate")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_ape_curve_needs_three_grid_points(tmp_path, capsys):

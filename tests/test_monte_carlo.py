@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
     for rep in range(reps):
         rng = substream(77, ROLE_PATH, rep)
         stats_ = run_path(generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma))
-        ref = stats_.as_dict()
+        ref = dataclasses.asdict(stats_)
         for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape"):
             assert arrays[key][rep] == pytest.approx(ref[key], rel=1e-10, abs=1e-12)
 
