@@ -11,9 +11,16 @@ varsigma = 1; the stationary contrast requires |varsigma| < 1.  The "all"
 subcommand runs whichever checks the config's mode supports and reports
 the others as skipped.
 
+The [targets] sizes are checked when the config is parsed: m_log2 >= 1,
+bm_reps >= 2 and limit_reps >= 1000.  limit-check also needs reps >= 1000
+finite-n draws (the KS distance's floor on each side); with fewer, "all"
+skips it.
+
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
-comparison under --strict, 2 a bad config, 3 paths that cannot be scored
-(DegenerateRateError, or ResamplePathError once the resample cap is hit).
+comparison under --strict, 2 a bad config (including a target out of its
+range, or a check the mode or the reps cannot run), 3 paths that cannot be
+scored (DegenerateRateError, or ResamplePathError once the resample cap is
+hit).
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ _SECTIONS = ("filter", "innovations", "model", "experiment", "targets")
 @dataclass(frozen=True)
 class Targets:
     """Pass/fail policy: absolute floors, SE multiplier, and the sizes of
-    the limit-law batches the brownian checks draw."""
+    the limit-law batches the brownian checks draw (grid m = 2^m_log2)."""
 
     se_mult: float = 4.0
     fpe_floor: float = 0.1
@@ -62,6 +69,22 @@ class Targets:
     m_log2: int = 12
     bm_reps: int = 200_000
     limit_reps: int = 10_000
+
+    def problems(self) -> list[str]:
+        """Every violated constraint, empty when the targets are valid."""
+        # m = 1 leaves every Brownian path degenerate; the KS distance
+        # needs KS_MIN_SAMPLES draws per side
+        floors = {"m_log2": 1, "bm_reps": 2, "limit_reps": monte_carlo.KS_MIN_SAMPLES}
+        return [
+            f"{key} must be >= {floor}, got {getattr(self, key)}"
+            for key, floor in floors.items()
+            if getattr(self, key) < floor
+        ]
+
+    def __post_init__(self):
+        probs = self.problems()
+        if probs:
+            raise ConfigError(probs)
 
 
 @dataclass(frozen=True)
@@ -200,11 +223,10 @@ def load_run(text: str) -> tuple[ExperimentConfig, Targets]:
         varsigma=varsigma,
         **ekwargs,
     )
-    if filter_spec is None or innovations is None:
-        config = None
+    targets = _build(Targets, problems, **tkwargs)
     if problems:
         raise ConfigError(problems)
-    return config, Targets(**tkwargs)
+    return config, targets
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -289,34 +311,33 @@ def _require_ape_grid(config):
 
 
 def _grid_summaries(config, statistic, columns):
-    cfg = replace(config, statistics=(statistic,))
-    return [s for n in config.n_grid for s in monte_carlo.summarize(cfg, n, columns(n))]
+    return [
+        monte_carlo.summarize(config, statistic, n, columns(n)[statistic])
+        for n in config.n_grid
+    ]
 
 
-def _run_fpe(config, targets, out_dir, workers, columns):
+def _grid_rows(summaries, target, floor, se_mult):
+    return [
+        _row(f"{s.statistic} @ n={s.n}", s.mean, target, _band(floor, s.mc_se, se_mult))
+        for s in summaries
+    ]
+
+
+def _run_fpe(config, targets, columns):
     _require_unit_root(config, "fpe")
     summaries = _grid_summaries(config, "fpe_stat", columns)
     target = 2.0 * config.innovations.sigma_sq
-    rows = [
-        _row(
-            f"fpe_stat @ n={s.n}",
-            s.mean,
-            target,
-            _band(targets.fpe_floor, s.mc_se, targets.se_mult),
-        )
-        for s in summaries
-    ]
-    arts = [
-        reporting.write_summary_csv(Path(out_dir) / "fpe_summary.csv", summaries),
-        reporting.write_json(
-            Path(out_dir) / "fpe_summary.json", [asdict(s) for s in summaries]
-        ),
-    ]
+    rows = _grid_rows(summaries, target, targets.fpe_floor, targets.se_mult)
+    files = {
+        "fpe_summary.csv": summaries,
+        "fpe_summary.json": [asdict(s) for s in summaries],
+    }
     # asymptotic claim: judged at the largest n, earlier rows are context
-    return rows, rows[-1]["passed"], arts
+    return rows, rows[-1]["passed"], files
 
 
-def _run_ape(config, targets, out_dir, workers, columns):
+def _run_ape(config, targets, columns):
     _require_ape_grid(config)
     summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
@@ -327,42 +348,29 @@ def _run_ape(config, targets, out_dir, workers, columns):
     ]
     slope_row = _row("excess_ape slope", slope, target, targets.slope_rel_band * target)
     rows.append(slope_row)
-    arts = [
-        reporting.write_summary_csv(Path(out_dir) / "ape_curve.csv", summaries),
-        reporting.write_json(
-            Path(out_dir) / "ape_curve.json",
-            {"slope": slope, "target": target, "grid": [asdict(s) for s in summaries]},
-        ),
-    ]
-    return rows, slope_row["passed"], arts
+    grid = [asdict(s) for s in summaries]
+    files = {
+        "ape_curve.csv": summaries,
+        "ape_curve.json": {"slope": slope, "target": target, "grid": grid},
+    }
+    return rows, slope_row["passed"], files
 
 
-def _run_mse(config, targets, out_dir, workers, columns):
+def _run_mse(config, targets, columns):
     _require_unit_root(config, "mse")
     summaries = _grid_summaries(config, "norm_est_sq", columns)
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     target = brownian.mse_limit_formula(params)
-    rows = [
-        _row(
-            f"norm_est_sq @ n={s.n}",
-            s.mean,
-            target,
-            _band(targets.mse_floor, s.mc_se, targets.se_mult),
-        )
-        for s in summaries
-    ]
-    arts = [
-        reporting.write_summary_csv(Path(out_dir) / "mse_summary.csv", summaries),
-        reporting.write_json(
-            Path(out_dir) / "mse_summary.json",
-            {"target": target, "grid": [asdict(s) for s in summaries]},
-        ),
-    ]
-    return rows, rows[-1]["passed"], arts
+    rows = _grid_rows(summaries, target, targets.mse_floor, targets.se_mult)
+    files = {
+        "mse_summary.csv": summaries,
+        "mse_summary.json": {"target": target, "grid": [asdict(s) for s in summaries]},
+    }
+    return rows, rows[-1]["passed"], files
 
 
-def _run_constants(config, targets, out_dir, workers, columns):
+def _run_constants(config, targets, columns):
     report = brownian.estimate_constants(
         m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed
     )
@@ -380,11 +388,10 @@ def _run_constants(config, targets, out_dir, workers, columns):
             _band(targets.k2_floor, report.k2.se, targets.se_mult),
         ),
     ]
-    arts = [reporting.write_json(Path(out_dir) / "constants.json", report.as_dict())]
-    return rows, all(r["passed"] for r in rows), arts
+    return rows, all(r["passed"] for r in rows), {"constants.json": report.as_dict()}
 
 
-def _run_cross(config, targets, out_dir, workers, columns):
+def _run_cross(config, targets, columns):
     _require_unit_root(config, "cross-moment")
     n = config.n_grid[-1]
     out = monte_carlo.cross_moment_from(columns(n), n)
@@ -420,12 +427,14 @@ def _run_cross(config, targets, out_dir, workers, columns):
     rows[-1]["passed"] = bool(
         out["corr"] < 0.0 and abs(out["corr"]) > targets.se_mult * out["corr_se"]
     )
-    arts = [reporting.write_json(Path(out_dir) / "cross_moment.json", out)]
-    return rows, all(r["passed"] for r in rows), arts
+    return rows, all(r["passed"] for r in rows), {"cross_moment.json": out}
 
 
-def _run_stationary(config, targets, out_dir, workers, columns):
-    out = monte_carlo.stationary_comparison(config, workers=workers)
+def _run_stationary(config, targets, columns):
+    if not abs(config.varsigma) < 1.0:
+        raise ConfigError(["stationary compares against stationary limits; set |varsigma| < 1"])
+    n = config.n_grid[-1]
+    out = monte_carlo.stationary_comparison_from(columns(n), n)
     sigma_sq = config.innovations.sigma_sq
     rows = [
         _row(
@@ -442,37 +451,37 @@ def _run_stationary(config, targets, out_dir, workers, columns):
         ),
         _row("joint - product", out["diff"], 0.0, targets.se_mult * out["diff_se"]),
     ]
-    arts = [reporting.write_json(Path(out_dir) / "stationary.json", out)]
-    return rows, all(r["passed"] for r in rows), arts
+    return rows, all(r["passed"] for r in rows), {"stationary.json": out}
 
 
-def _run_limit_check(config, targets, out_dir, workers, columns):
+def _run_limit_check(config, targets, columns):
     _require_unit_root(config, "limit-check")
+    floor = monte_carlo.KS_MIN_SAMPLES
+    if config.reps < floor:
+        raise ConfigError([f"limit-check needs reps >= {floor} finite-n draws, got {config.reps}"])
     n = config.n_grid[-1]
-    arrays = columns(n)
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     draws = brownian.limit_sample_batch(
         params, 1 << targets.m_log2, targets.limit_reps, config.base_seed
     )
-    ks = monte_carlo.limit_distribution_check(arrays["fpe_stat"], draws["fpe_limit_draw"])
+    ks = monte_carlo.limit_distribution_check(columns(n)["fpe_stat"], draws["fpe_limit_draw"])
     rows = [_row(f"KS(finite n={n}, limit law)", ks, 0.0, targets.ks_max)]
-    arts = [
-        reporting.write_json(
-            Path(out_dir) / "limit_check.json",
-            {
-                "n": n,
-                "reps_finite": int(config.reps),
-                "reps_limit": int(targets.limit_reps),
-                "m": 1 << targets.m_log2,
-                "ks_distance": ks,
-                "ks_max": targets.ks_max,
-            },
-        )
-    ]
-    return rows, rows[0]["passed"], arts
+    files = {
+        "limit_check.json": {
+            "n": n,
+            "reps_finite": int(config.reps),
+            "reps_limit": int(targets.limit_reps),
+            "m": 1 << targets.m_log2,
+            "ks_distance": ks,
+            "ks_max": targets.ks_max,
+        }
+    }
+    return rows, rows[0]["passed"], files
 
 
+# Each handler maps (config, targets, columns) to (rows, passed, {file name:
+# payload}) and writes nothing; dispatch writes every file.
 _HANDLERS = {
     "fpe": _run_fpe,
     "ape-curve": _run_ape,
@@ -506,7 +515,8 @@ def dispatch(
     config_path: str = "<memory>",
     stream=None,
 ) -> tuple[int, RunManifest]:
-    """Run one subcommand (or all), write artifacts, print the table.
+    """Run one subcommand (or all), write its artifacts under out_dir,
+    print the table.
 
     Returns (number of failed comparisons, manifest).  Artifacts and the
     manifest are byte-deterministic for a fixed config and seed.
@@ -531,12 +541,10 @@ def dispatch(
         return monte_carlo.sample_statistics(config, n, want_ape=want_ape, workers=workers)
 
     failures = 0
-    artifacts: list[Path] = []
+    artifacts: dict[str, str] = {}
     for name in names:
         try:
-            rows, passed, arts = _HANDLERS[name](
-                config, targets or Targets(), out_dir, workers, columns
-            )
+            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns)
         except ConfigError as exc:
             if subcommand != "all":
                 raise
@@ -544,18 +552,21 @@ def dispatch(
             print(f"== {name} ==", file=stream)
             print(f"{name}: skipped ({exc.problems[0]})", file=stream)
             continue
+        for file_name, payload in files.items():
+            csv = file_name.endswith(".csv")
+            write = reporting.write_summary_csv if csv else reporting.write_json
+            artifacts[file_name] = reporting.checksum(write(Path(out_dir) / file_name, payload))
         print(f"== {name} ==", file=stream)
         _print_rows(rows, stream)
         print(f"{name}: {'pass' if passed else 'FAIL'}", file=stream)
         failures += 0 if passed else 1
-        artifacts.extend(arts)
     manifest = RunManifest(
         config_path=str(config_path),
         subcommand=subcommand,
         out_dir=str(out_dir),
         base_seed=config.base_seed,
         workers=workers,
-        artifacts={p.name: reporting.checksum(p) for p in artifacts},
+        artifacts=artifacts,
     )
     reporting.write_json(Path(out_dir) / "manifest.json", asdict(manifest))
     return failures, manifest

@@ -122,9 +122,13 @@ class Filter:
         N_t - S_t = x_t holds exactly for the simulated (truncated)
         process; the closed-form fields differ by at most tail_bound.
         """
-        suffix = np.cumsum(self.coeffs[::-1])[::-1]
-        tails = np.append(suffix[1:], 0.0)
-        return float(suffix[0]), tails
+        return _suffix_sums(self.coeffs)
+
+
+def _suffix_sums(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum of all taps, tails) with tails[j] = c_{j+1} + ... + c_L."""
+    suffix = np.cumsum(coeffs[::-1])[::-1]
+    return float(suffix[0]), np.append(suffix[1:], 0.0)
 
 
 def _geometric_lag(a: float, r: float, tol_abs: float, lo: int) -> int:
@@ -174,8 +178,7 @@ def materialize_filter(spec: FilterSpec) -> Filter:
         coeffs = np.asarray(spec.coeffs, dtype=float)
         theta = math.fsum(coeffs)
         _check_theta(theta)
-        suffix = np.cumsum(coeffs[::-1])[::-1]
-        tails = np.append(suffix[1:], 0.0)
+        _, tails = _suffix_sums(coeffs)
         return Filter(spec, coeffs, theta, tails, 0.0)
 
     if spec.family == "geometric":

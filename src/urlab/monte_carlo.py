@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import signal
@@ -19,7 +20,7 @@ from scipy import signal
 from . import brownian
 from .errors import ConfigError, DegenerateRateError
 from .innovations import InnovationSpec, _standardized, derived_correlation
-from .linear_process import FilterSpec, materialize_filter, stationary_burn_in
+from .linear_process import Filter, FilterSpec, materialize_filter, stationary_burn_in
 from .streams import ROLE_PATH, substream
 
 STATISTICS = (
@@ -31,23 +32,11 @@ STATISTICS = (
     "log_fisher",
 )
 
-# Internal per-path columns the engine can produce.
-_COLUMNS = (
-    "ape",
-    "excess_ape",
-    "fpe_stat",
-    "norm_est_sq",
-    "x_n_sq_over_n",
-    "x_n_sq",
-    "n_est_sq",
-    "log_fisher",
-    "beta_hat_final",
-)
-
 _CHUNK = 4096        # replications per deterministic work unit
 _ROW_VALUES = 1 << 22  # float budget per generation batch
 
 MAX_FAILURE_RATE = 1e-3
+KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
 
 
 @dataclass(frozen=True)
@@ -130,10 +119,13 @@ def _path_columns(
     n: int,
     want_ape: bool,
 ) -> tuple[dict, np.ndarray]:
-    """Per-path statistics for a batch of draw matrices.
+    """Base per-path quantities for a batch of draw matrices.
 
     Row results are independent of how rows are batched: every operation
-    acts along axis 1.  Returns (columns, degenerate row mask).
+    acts along axis 1.  Returns (columns, degenerate row mask); the
+    columns are x_n, beta_hat and s_xx, plus ape and the scored-eps sse
+    when ``want_ape``.  None is a view into the batch's path matrices, so
+    a batch's paths are freed before the next batch draws.
     """
     eta = signal.lfilter(filt_coeffs, [1.0], om[:, :-1], axis=1)
     if varsigma == 1.0:
@@ -151,21 +143,7 @@ def _path_columns(
     s_xx = uu.sum(axis=1)
     s_xy = uv.sum(axis=1)
     safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
-    beta_hat = s_xy / safe_xx
-    d = beta_hat - beta
-    x_n = x[:, -1]
-
-    cols: dict[str, np.ndarray] = {}
-    cols["beta_hat_final"] = beta_hat
-    cols["norm_est_sq"] = (n * d) ** 2
-    cols["x_n_sq_over_n"] = x_n**2 / n
-    cols["fpe_stat"] = cols["x_n_sq_over_n"] * cols["norm_est_sq"]
-    cols["x_n_sq"] = x_n**2
-    cols["n_est_sq"] = n * d**2
-    with np.errstate(divide="ignore"):
-        cols["log_fisher"] = np.where(
-            s_xx > 0.0, np.log(safe_xx) - 2.0 * math.log(n), np.nan
-        )
+    cols = {"x_n": x[:, -1].copy(), "beta_hat": s_xy / safe_xx, "s_xx": s_xx}
 
     if want_ape:
         c_xx = np.cumsum(uu, axis=1)[:, :-1]  # energy after pairs 1..n-2
@@ -173,35 +151,44 @@ def _path_columns(
         ok = c_xx > 0.0
         bh_path = c_xy / np.where(ok, c_xx, 1.0)
         err = v[:, 1:] - u[:, 1:] * bh_path
-        ape = np.where(ok, err * err, 0.0).sum(axis=1)
+        cols["ape"] = np.where(ok, err * err, 0.0).sum(axis=1)
         eps_scored = eps[:, burn + 2 : burn + n]
-        sse = np.where(ok, eps_scored * eps_scored, 0.0).sum(axis=1)
-        cols["ape"] = ape
-        cols["excess_ape"] = ape - sse
+        cols["sse"] = np.where(ok, eps_scored * eps_scored, 0.0).sum(axis=1)
     return cols, bad
 
 
-def _chunk_worker(args) -> tuple[dict, int]:
-    (
-        filt,
-        innov,
-        beta,
-        varsigma,
-        n,
-        rep_start,
-        rep_stop,
-        base_seed,
-        want_ape,
-        max_failures,
-    ) = args
-    burn = stationary_burn_in(varsigma)
+def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]:
+    """The per-path statistics ``sample_statistics`` returns, derived
+    elementwise from the base quantities of ``_path_columns``."""
+    x_n, s_xx = base["x_n"], base["s_xx"]
+    safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
+    d = base["beta_hat"] - beta
+    cols = {"beta_hat_final": base["beta_hat"]}
+    cols["norm_est_sq"] = (n * d) ** 2
+    cols["x_n_sq_over_n"] = x_n**2 / n
+    cols["fpe_stat"] = cols["x_n_sq_over_n"] * cols["norm_est_sq"]
+    cols["x_n_sq"] = x_n**2
+    cols["n_est_sq"] = n * d**2
+    cols["log_fisher"] = np.where(s_xx > 0.0, np.log(safe_xx) - 2.0 * math.log(n), np.nan)
+    if "ape" in base:
+        cols["ape"] = base["ape"]
+        cols["excess_ape"] = base["ape"] - base["sse"]
+    return cols
+
+
+def _chunk_worker(
+    config: ExperimentConfig, filt: Filter, n: int, want_ape: bool, max_failures: float,
+    rep_start: int, rep_stop: int,
+) -> tuple[dict, int]:
+    innov = config.innovations
+    burn = stationary_burn_in(config.varsigma)
     total = burn + n + 1
     count = rep_stop - rep_start
     rho, sigma_theta_sq = derived_correlation(innov)
     s_om = math.sqrt(innov.sigma_omega_sq)
     s_th = math.sqrt(sigma_theta_sq)
 
-    out = {name: np.empty(count) for name in _COLUMNS if want_ape or name not in ("ape", "excess_ape")}
+    out: dict[str, np.ndarray] = {}
     failures = 0
     rows = max(4, _ROW_VALUES // (2 * total))
     for block in range(rep_start, rep_stop, rows):
@@ -212,13 +199,15 @@ def _chunk_worker(args) -> tuple[dict, int]:
         while pending:
             z = np.empty((len(pending), total, 2))
             for k, rep in enumerate(pending):
-                rng = substream(base_seed, ROLE_PATH, rep, attempt[rep])
+                rng = substream(config.base_seed, ROLE_PATH, rep, attempt[rep])
                 z[k] = _standardized(rng, innov.family, (total, 2))
             om = s_om * z[:, :, 0]
             eps = rho * om + s_th * z[:, :, 1]
             cols, bad = _path_columns(
-                om, eps, filt.coeffs, beta, varsigma, burn, n, want_ape
+                om, eps, filt.coeffs, config.beta, config.varsigma, burn, n, want_ape
             )
+            if not out:
+                out = {name: np.empty(count) for name in cols}
             good = ~bad
             idx = np.array([r - rep_start for r in pending])
             for name, col in cols.items():
@@ -253,36 +242,25 @@ def sample_statistics(
         want_ape = "excess_ape" in config.statistics
     filt = materialize_filter(config.filter_spec)
     max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
-    chunks = [
-        (
-            filt,
-            config.innovations,
-            config.beta,
-            config.varsigma,
-            n,
-            start,
-            min(start + _CHUNK, config.reps),
-            config.base_seed,
-            want_ape,
-            max_failures,
-        )
-        for start in range(0, config.reps, _CHUNK)
-    ]
-    if workers <= 1 or len(chunks) == 1:
-        results = [_chunk_worker(c) for c in chunks]
+    work = partial(_chunk_worker, config, filt, n, want_ape, max_failures)
+    starts = range(0, config.reps, _CHUNK)
+    stops = [min(start + _CHUNK, config.reps) for start in starts]
+    if workers <= 1 or len(starts) == 1:
+        results = list(map(work, starts, stops))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_worker, chunks))
+            results = list(pool.map(work, starts, stops))
     failures = sum(r[1] for r in results)
     if failures > max_failures:
         raise DegenerateRateError(
             f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} "
             f"({failures} resample events over {config.reps} reps)"
         )
-    merged = {
+    base = {
         name: np.concatenate([r[0][name] for r in results])
         for name in results[0][0]
     }
+    merged = _published_columns(base, config.beta, n)
     merged["resampled"] = np.array([failures])
     return merged
 
@@ -320,32 +298,33 @@ def _ratio_target(config: ExperimentConfig, statistic: str, n: int) -> float | N
     return None
 
 
-def summarize(config: ExperimentConfig, n: int, columns: dict) -> list[McSummary]:
-    """Mean and MC standard error of each requested statistic in the
-    ``sample_statistics`` columns at one n."""
-    summaries = []
-    for stat in [s for s in config.statistics if s != "cross_moment"]:
-        mean, se = _mean_se(columns[stat])
-        target = _ratio_target(config, stat, n)
-        summaries.append(
-            McSummary(
-                statistic=stat,
-                n=n,
-                mean=mean,
-                mc_se=se if config.reps >= 30 else None,
-                reps=config.reps,
-                seed=config.base_seed,
-                ratio=mean / target if target else None,
-            )
-        )
-    return summaries
+def summarize(
+    config: ExperimentConfig, statistic: str, n: int, column: np.ndarray
+) -> McSummary:
+    """Mean and MC standard error of one statistic's per-path column at n."""
+    mean, se = _mean_se(column)
+    target = _ratio_target(config, statistic, n)
+    return McSummary(
+        statistic=statistic,
+        n=n,
+        mean=mean,
+        mc_se=se if config.reps >= 30 else None,
+        reps=config.reps,
+        seed=config.base_seed,
+        ratio=mean / target if target else None,
+    )
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> list[McSummary]:
     """Mean and MC standard error of each requested statistic at each n."""
     summaries = []
     for n in config.n_grid:
-        summaries += summarize(config, n, sample_statistics(config, n, workers=workers))
+        columns = sample_statistics(config, n, workers=workers)
+        summaries += [
+            summarize(config, stat, n, columns[stat])
+            for stat in config.statistics
+            if stat != "cross_moment"
+        ]
     return summaries
 
 
@@ -412,10 +391,9 @@ def cross_moment_from(columns: dict, n: int) -> dict:
     }
 
 
-def cross_moment(
-    config: ExperimentConfig, workers: int = 1, n: int | None = None
-) -> dict:
-    """Joint vs product-of-marginals moments of (x_n^2/n, n^2(bh-b)^2).
+def cross_moment(config: ExperimentConfig, workers: int = 1) -> dict:
+    """Joint vs product-of-marginals moments of (x_n^2/n, n^2(bh-b)^2)
+    at the largest n.
 
     The joint moment is the mean of the per-path product, which is the
     per-path fpe_stat by construction; the marginal product estimates the
@@ -423,29 +401,16 @@ def cross_moment(
     """
     if config.varsigma != 1.0:
         raise ConfigError(["cross_moment requires unit-root mode (varsigma = 1)"])
-    if n is None:
-        n = config.n_grid[-1]
+    n = config.n_grid[-1]
     columns = sample_statistics(config, n, want_ape=False, workers=workers)
     return cross_moment_from(columns, n)
 
 
-def stationary_comparison(
-    config: ExperimentConfig, workers: int = 1, n: int | None = None
-) -> dict:
-    """Joint and product moments of (x_n^2, n(bh-b)^2) in stationary mode.
-
-    Both tend to sigma^2 and decouple in the limit, the contrast with the
-    unit-root cross moment.
-    """
-    if not abs(config.varsigma) < 1.0:
-        raise ConfigError(
-            [f"stationary_comparison requires |varsigma| < 1, got {config.varsigma}"]
-        )
-    if n is None:
-        n = config.n_grid[-1]
-    arrays = sample_statistics(config, n, want_ape=False, workers=workers)
-    a = arrays["x_n_sq"]
-    b = arrays["n_est_sq"]
+def stationary_comparison_from(columns: dict, n: int) -> dict:
+    """stationary_comparison over ``sample_statistics`` columns already
+    drawn at n."""
+    a = columns["x_n_sq"]
+    b = columns["n_est_sq"]
     contrast, (mean_a, _, mean_b, _, _) = _moment_contrast(a, b)
     q = (a - mean_a) * (b - mean_b)
     return {
@@ -454,6 +419,22 @@ def stationary_comparison(
         "diff": contrast["joint"] - contrast["product"],
         "diff_se": _mean_se(q)[1],
     }
+
+
+def stationary_comparison(config: ExperimentConfig, workers: int = 1) -> dict:
+    """Joint and product moments of (x_n^2, n(bh-b)^2) in stationary mode
+    at the largest n.
+
+    Both tend to sigma^2 and decouple in the limit, the contrast with the
+    unit-root cross moment.
+    """
+    if not abs(config.varsigma) < 1.0:
+        raise ConfigError(
+            [f"stationary_comparison requires |varsigma| < 1, got {config.varsigma}"]
+        )
+    n = config.n_grid[-1]
+    columns = sample_statistics(config, n, want_ape=False, workers=workers)
+    return stationary_comparison_from(columns, n)
 
 
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
@@ -470,8 +451,9 @@ def limit_distribution_check(
     finite_sample: np.ndarray, limit_sample: np.ndarray
 ) -> float:
     """KS distance between finite-n fpe_stat draws and limit-law draws."""
-    if len(finite_sample) < 1000 or len(limit_sample) < 1000:
+    sizes = (len(finite_sample), len(limit_sample))
+    if min(sizes) < KS_MIN_SAMPLES:
         raise ValueError(
-            f"need >= 1000 samples per side, got {len(finite_sample)} and {len(limit_sample)}"
+            f"need >= {KS_MIN_SAMPLES} samples per side, got {sizes[0]} and {sizes[1]}"
         )
     return two_sample_ks(finite_sample, limit_sample)

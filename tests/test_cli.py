@@ -161,10 +161,22 @@ def test_all_skips_checks_the_mode_cannot_support(tmp_path):
         )
 
 
-def test_all_simulates_each_point_once_with_standalone_bits(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "varsigma,points,standalone",
+    [
+        (1.0, [40, 80, 160],
+         ("fpe", "ape-curve", "mse", "constants", "cross-moment", "limit-check")),
+        (0.5, [160], ("stationary", "constants")),
+    ],
+    ids=["unit_root", "stationary"],
+)
+def test_all_simulates_each_point_once_with_standalone_bits(
+    tmp_path, monkeypatch, varsigma, points, standalone
+):
     config = ExperimentConfig(
         filter_spec=FilterSpec(family="geometric", a=1.0, r=0.5),
         innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+        varsigma=varsigma,
         n_grid=(40, 80, 160),
         reps=1000,
         base_seed=3,
@@ -181,15 +193,46 @@ def test_all_simulates_each_point_once_with_standalone_bits(tmp_path, monkeypatc
     _, together = dispatch(
         "all", config, targets, out_dir=tmp_path / "all", stream=io.StringIO()
     )
-    assert simulated == list(config.n_grid)
+    assert simulated == points
 
     alone = {}
-    for name in ("fpe", "ape-curve", "mse", "constants", "cross-moment", "limit-check"):
+    for name in standalone:
         _, man = dispatch(
             name, config, targets, out_dir=tmp_path / name, stream=io.StringIO()
         )
         alone.update(man.artifacts)
     assert together.artifacts == alone
+
+
+def test_limit_check_needs_enough_finite_draws(tmp_path, capsys):
+    # FAST_RUN's 400 reps suit every other check but not the KS distance
+    cfg, _ = load_run(FAST_RUN)
+    targets = Targets(m_log2=6, bm_reps=2000, limit_reps=1000)
+    sink = io.StringIO()
+    _, man = dispatch("all", cfg, targets, out_dir=tmp_path / "all", stream=sink)
+    assert "limit-check: skipped (limit-check needs reps >= 1000" in sink.getvalue()
+    assert "limit_check.json" not in man.artifacts
+    assert (tmp_path / "all" / "manifest.json").exists()
+
+    ini = tmp_path / "few.ini"
+    ini.write_text(FAST_RUN)
+    assert main(["limit-check", str(ini), "--out", str(tmp_path / "alone")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: limit-check needs reps >= 1000 finite-n draws, got 400\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand,setting",
+    [("limit-check", "limit_reps = 10"), ("all", "m_log2 = 0"), ("all", "bm_reps = 1")],
+)
+def test_targets_out_of_range_rejected_at_parse(tmp_path, capsys, subcommand, setting):
+    ini = tmp_path / "targets.ini"
+    ini.write_text(FAST_RUN + setting + "\n")
+    assert main([subcommand, str(ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {setting.split()[0]} must be >=")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dispatch_writes_deterministic_artifacts(tmp_path):
