@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResamplePathError
+from .errors import ConfigError, ResamplePathError, Validated
 from .streams import ROLE_BM, ROLE_CONSTANTS, substream
 
 # Time integrals below this are treated as degenerate (the exact event has
@@ -53,7 +53,7 @@ class BmPath:
 
 
 @dataclass(frozen=True)
-class LimitParams:
+class LimitParams(Validated):
     """Scale parameters entering the limit functionals."""
 
     rho: float
@@ -85,11 +85,6 @@ class LimitParams:
                 f"= {self.lam ** 2 / self.sigma_omega ** 2:.6g}"
             )
         return out
-
-    def __post_init__(self):
-        probs = self.problems()
-        if probs:
-            raise ConfigError(probs)
 
     @classmethod
     def create(cls, rho: float, sigma_omega: float, sigma_theta: float, theta: float) -> "LimitParams":

@@ -13,14 +13,15 @@ the others as skipped.
 
 The [targets] sizes are checked when the config is parsed: m_log2 >= 1,
 bm_reps >= 2 and limit_reps >= 1000.  limit-check also needs reps >= 1000
-finite-n draws (the KS distance's floor on each side); with fewer, "all"
-skips it.
+finite-n draws (the KS distance's floor on each side) and cross-moment
+reps >= 4 (the correlation's standard error); with fewer, "all" skips
+them.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
 comparison under --strict, 2 a bad config (including a target out of its
 range, or a check the mode or the reps cannot run), 3 paths that cannot be
 scored (DegenerateRateError, or ResamplePathError once the resample cap is
-hit).
+hit), 4 a worker process of the --workers pool died (BrokenProcessPool).
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import argparse
 import configparser
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from pathlib import Path
 
 from . import brownian, monte_carlo, reporting
-from .errors import ConfigError, DegenerateRateError, ResamplePathError
+from .errors import ConfigError, DegenerateRateError, ResamplePathError, Validated
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
 from .monte_carlo import ExperimentConfig
@@ -54,7 +56,7 @@ _SECTIONS = ("filter", "innovations", "model", "experiment", "targets")
 
 
 @dataclass(frozen=True)
-class Targets:
+class Targets(Validated):
     """Pass/fail policy: absolute floors, SE multiplier, and the sizes of
     the limit-law batches the brownian checks draw (grid m = 2^m_log2)."""
 
@@ -80,11 +82,6 @@ class Targets:
             for key, floor in floors.items()
             if getattr(self, key) < floor
         ]
-
-    def __post_init__(self):
-        probs = self.problems()
-        if probs:
-            raise ConfigError(probs)
 
 
 @dataclass(frozen=True)
@@ -244,41 +241,19 @@ def serialize_config(config: ExperimentConfig, targets: Targets | None = None) -
             return repr(value)
         return str(value)
 
-    fs = config.filter_spec
-    lines = ["[filter]", f"family = {fs.family}"]
-    for key in ("coeffs", "a", "r", "p"):
-        value = getattr(fs, key)
-        if value is not None:
-            lines.append(f"{key} = {fmt(value)}")
-    lines.append(f"truncation_lag = {fs.truncation_lag}")
-    lines.append(f"tail_tol = {fmt(fs.tail_tol)}")
+    def section(name, obj, keys=None):
+        values = ((key, getattr(obj, key)) for key in keys or [f.name for f in fields(obj)])
+        return [f"[{name}]"] + [f"{k} = {fmt(v)}" for k, v in values if v is not None]
 
-    iv = config.innovations
-    lines += [
-        "",
-        "[innovations]",
-        f"sigma_omega_sq = {fmt(iv.sigma_omega_sq)}",
-        f"sigma_sq = {fmt(iv.sigma_sq)}",
-        f"pi = {fmt(iv.pi)}",
-        f"family = {iv.family}",
-        "",
-        "[model]",
-        f"beta = {fmt(config.beta)}",
-        f"varsigma = {fmt(config.varsigma)}",
-        "",
-        "[experiment]",
-        f"n_grid = {fmt(config.n_grid)}",
-        f"reps = {config.reps}",
-        f"base_seed = {config.base_seed}",
-        f"statistics = {', '.join(config.statistics)}",
+    parts = [
+        section("filter", config.filter_spec),
+        section("innovations", config.innovations),
+        section("model", config, ("beta", "varsigma")),
+        section("experiment", config, ("n_grid", "reps", "base_seed", "statistics", "out_dir")),
     ]
-    if config.out_dir is not None:
-        lines.append(f"out_dir = {config.out_dir}")
     if targets is not None:
-        lines += ["", "[targets]"]
-        for f in fields(Targets):
-            lines.append(f"{f.name} = {fmt(getattr(targets, f.name))}")
-    return "\n".join(lines) + "\n"
+        parts.append(section("targets", targets))
+    return "\n\n".join("\n".join(lines) for lines in parts) + "\n"
 
 
 def _row(name: str, estimate: float, target: float, band: float) -> dict:
@@ -300,6 +275,11 @@ def _require_unit_root(config, name):
         raise ConfigError(
             [f"{name} compares against integrated-regressor limits; set varsigma = 1"]
         )
+
+
+def _require_reps(config, name, floor, what):
+    if config.reps < floor:
+        raise ConfigError([f"{name} needs reps >= {floor} {what}, got {config.reps}"])
 
 
 def _require_ape_grid(config):
@@ -375,24 +355,18 @@ def _run_constants(config, targets, columns):
         m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed
     )
     rows = [
-        _row(
-            "K1 (squared-ratio moment)",
-            report.k1.value,
-            brownian.CANONICAL_K1.value,
-            _band(targets.k1_floor, report.k1.se, targets.se_mult),
-        ),
-        _row(
-            "K2 (inverse-energy moment)",
-            report.k2.value,
-            brownian.CANONICAL_K2.value,
-            _band(targets.k2_floor, report.k2.se, targets.se_mult),
-        ),
+        _row(f"{est.name} ({what})", est.value, canon.value, _band(floor, est.se, targets.se_mult))
+        for est, canon, floor, what in (
+            (report.k1, brownian.CANONICAL_K1, targets.k1_floor, "squared-ratio moment"),
+            (report.k2, brownian.CANONICAL_K2, targets.k2_floor, "inverse-energy moment"),
+        )
     ]
     return rows, all(r["passed"] for r in rows), {"constants.json": report.as_dict()}
 
 
 def _run_cross(config, targets, columns):
     _require_unit_root(config, "cross-moment")
+    _require_reps(config, "cross-moment", monte_carlo.CORR_MIN_REPS, "for the correlation's se")
     n = config.n_grid[-1]
     out = monte_carlo.cross_moment_from(columns(n), n)
     iv = config.innovations
@@ -435,30 +409,18 @@ def _run_stationary(config, targets, columns):
         raise ConfigError(["stationary compares against stationary limits; set |varsigma| < 1"])
     n = config.n_grid[-1]
     out = monte_carlo.stationary_comparison_from(columns(n), n)
-    sigma_sq = config.innovations.sigma_sq
+    sigma_sq, floor, mult = config.innovations.sigma_sq, targets.stationary_floor, targets.se_mult
     rows = [
-        _row(
-            "joint moment",
-            out["joint"],
-            sigma_sq,
-            _band(targets.stationary_floor, out["joint_se"], targets.se_mult),
-        ),
-        _row(
-            "product of marginals",
-            out["product"],
-            sigma_sq,
-            _band(targets.stationary_floor, out["product_se"], targets.se_mult),
-        ),
-        _row("joint - product", out["diff"], 0.0, targets.se_mult * out["diff_se"]),
+        _row(label, out[key], sigma_sq, _band(floor, out[f"{key}_se"], mult))
+        for label, key in (("joint moment", "joint"), ("product of marginals", "product"))
     ]
+    rows.append(_row("joint - product", out["diff"], 0.0, mult * out["diff_se"]))
     return rows, all(r["passed"] for r in rows), {"stationary.json": out}
 
 
 def _run_limit_check(config, targets, columns):
     _require_unit_root(config, "limit-check")
-    floor = monte_carlo.KS_MIN_SAMPLES
-    if config.reps < floor:
-        raise ConfigError([f"limit-check needs reps >= {floor} finite-n draws, got {config.reps}"])
+    _require_reps(config, "limit-check", monte_carlo.KS_MIN_SAMPLES, "finite-n draws")
     n = config.n_grid[-1]
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
@@ -521,9 +483,10 @@ def dispatch(
     Returns (number of failed comparisons, manifest).  Artifacts and the
     manifest are byte-deterministic for a fixed config and seed.
 
-    Each grid point is simulated at most once: every check reads the
-    columns of one ``sample_statistics`` call per n, drawn with APE exactly
-    when ape-curve runs (the other columns do not depend on that choice).
+    The finite-n checks read the columns of one ``sample_statistics`` call
+    per run (one process pool), made at the first read: the whole grid
+    when fpe, ape-curve or mse can run, else n_max alone, with APE exactly
+    when ape-curve runs.  The columns at n never depend on these choices.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
@@ -536,9 +499,15 @@ def dispatch(
         except ConfigError:
             want_ape = False
 
+    walks = config.varsigma == 1.0 and {"fpe", "ape-curve", "mse"} & set(names)
+    grid = config.n_grid if walks else config.n_grid[-1:]
+
     @cache
+    def simulated():
+        return monte_carlo.sample_statistics(config, grid, want_ape=want_ape, workers=workers)
+
     def columns(n):
-        return monte_carlo.sample_statistics(config, n, want_ape=want_ape, workers=workers)
+        return simulated()[n]
 
     failures = 0
     artifacts: dict[str, str] = {}
@@ -610,9 +579,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (DegenerateRateError, ResamplePathError) as exc:
+    except (DegenerateRateError, ResamplePathError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, BrokenProcessPool) else 3
     if failures and args.strict:
         return 1
     return 0

@@ -15,6 +15,16 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class Validated:
+    """Base of the validated frozen dataclasses: construction raises one
+    ConfigError carrying every problem ``problems()`` reports."""
+
+    def __post_init__(self):
+        problems = self.problems()
+        if problems:
+            raise ConfigError(problems)
+
+
 class NotStartedError(RuntimeError):
     """Prediction requested before the estimator has absorbed any
     informative pair (all x seen so far were zero)."""

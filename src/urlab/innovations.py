@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Validated
 
 FAMILIES = ("gaussian", "laplace", "uniform")
 
@@ -27,7 +27,7 @@ _CS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class InnovationSpec:
+class InnovationSpec(Validated):
     """Joint law of one (omega_t, epsilon_t) pair."""
 
     sigma_omega_sq: float = 1.0
@@ -52,11 +52,6 @@ class InnovationSpec:
         if self.family not in FAMILIES:
             out.append(f"family must be one of {FAMILIES}, got {self.family!r}")
         return out
-
-    def __post_init__(self):
-        probs = self.problems()
-        if probs:
-            raise ConfigError(probs)
 
 
 def derived_correlation(spec: InnovationSpec) -> tuple[float, float]:

@@ -13,12 +13,13 @@ rather than estimated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal, special
 
-from .errors import ConfigError, DegeneratePathError, ReconstructionError
+from .errors import ConfigError, DegeneratePathError, ReconstructionError, Validated
 from .innovations import InnovationSpec, draw_pairs
 
 FILTER_FAMILIES = ("finite", "geometric", "polynomial")
@@ -35,7 +36,7 @@ _MAX_LAG = 10_000_000
 
 
 @dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(Validated):
     """Declarative description of the MA coefficient family.
 
     family "finite":     c_j given directly as ``coeffs``.
@@ -83,9 +84,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.coeffs is not None and not isinstance(self.coeffs, tuple):
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        probs = self.problems()
-        if probs:
-            raise ConfigError(probs)
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +102,10 @@ class Filter:
     theta: float
     tails: np.ndarray
     tail_bound: float
+
+    def __post_init__(self):
+        self.coeffs.setflags(write=False)
+        self.tails.setflags(write=False)
 
     @property
     def lag(self) -> int:
@@ -169,10 +172,13 @@ def _polynomial_lag(a: float, p: float, tol_abs: float, lo: int) -> int:
     return lo_b
 
 
+@lru_cache(maxsize=16)
 def materialize_filter(spec: FilterSpec) -> Filter:
     """Resolve a FilterSpec into working taps and closed-form sums.
 
-    Raises ConfigError when the coefficient sum theta is numerically zero.
+    Cached per (frozen, hashable) spec, so callers share one Filter whose
+    arrays are read-only.  Raises ConfigError when the coefficient sum
+    theta is numerically zero.
     """
     if spec.family == "finite":
         coeffs = np.asarray(spec.coeffs, dtype=float)

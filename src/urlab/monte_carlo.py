@@ -18,7 +18,7 @@ import numpy as np
 from scipy import signal
 
 from . import brownian
-from .errors import ConfigError, DegenerateRateError
+from .errors import ConfigError, DegenerateRateError, Validated
 from .innovations import InnovationSpec, _standardized, derived_correlation
 from .linear_process import Filter, FilterSpec, materialize_filter, stationary_burn_in
 from .streams import ROLE_PATH, substream
@@ -37,10 +37,11 @@ _ROW_VALUES = 1 << 22  # float budget per generation batch
 
 MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
+CORR_MIN_REPS = 4  # cross_moment's corr_se divides by sqrt(reps - 3)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Validated):
     """Model plus experiment layout for one run."""
 
     filter_spec: FilterSpec
@@ -81,9 +82,7 @@ class ExperimentConfig:
             object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not isinstance(self.statistics, tuple):
             object.__setattr__(self, "statistics", tuple(self.statistics))
-        probs = self.problems()
-        if probs:
-            raise ConfigError(probs)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -109,52 +108,73 @@ def _degenerate_mask(u: np.ndarray) -> np.ndarray:
     return ~np.any(u[:, :-1] != 0.0, axis=1)
 
 
+def _draws(config: ExperimentConfig, reps: np.ndarray, attempt: int, total: int) -> np.ndarray:
+    """Standardized (omega, theta) draws, one keyed stream per replication."""
+    z = np.empty((len(reps), total, 2))
+    for k, rep in enumerate(reps):
+        rng = substream(config.base_seed, ROLE_PATH, int(rep), attempt)
+        z[k] = _standardized(rng, config.innovations.family, (total, 2))
+    return z
+
+
 def _path_columns(
-    om: np.ndarray,
-    eps: np.ndarray,
+    z: np.ndarray,
+    scales: tuple[float, float, float],
     filt_coeffs: np.ndarray,
     beta: float,
     varsigma: float,
     burn: int,
-    n: int,
+    grid: tuple[int, ...],
     want_ape: bool,
-) -> tuple[dict, np.ndarray]:
-    """Base per-path quantities for a batch of draw matrices.
+) -> dict[int, tuple[dict, np.ndarray]]:
+    """{n: (base per-path quantities, degenerate row mask)} at every n of
+    ``grid`` from draws ``z`` (rows, burn + grid[-1] + 1, 2) scaled by
+    (sigma_omega, rho, sigma_theta); the quantities are x_n, beta_hat and
+    s_xx, plus ape and the scored-eps sse when ``want_ape``.
 
-    Row results are independent of how rows are batched: every operation
-    acts along axis 1.  Returns (columns, degenerate row mask); the
-    columns are x_n, beta_hat and s_xx, plus ape and the scored-eps sse
-    when ``want_ape``.  None is a view into the batch's path matrices, so
-    a batch's paths are freed before the next batch draws.
+    Each n is scored on prefix slices, bit for bit as a batch drawn at n
+    alone (see ``_chunk_worker`` for the one exception).  Every operation
+    acts along axis 1, so row results do not depend on batching.  Scoring
+    reuses buffers in place; ``z`` is freed once consumed.
     """
-    eta = signal.lfilter(filt_coeffs, [1.0], om[:, :-1], axis=1)
+    s_om, rho, s_th = scales
+    om = s_om * z[:, :, 0]
+    eps = rho * om + s_th * z[:, :, 1]
+    del z
+    xs = signal.lfilter(filt_coeffs, [1.0], om[:, :-1], axis=1)  # eta
+    del om
     if varsigma == 1.0:
-        xs = np.cumsum(eta, axis=1)
+        xs = np.cumsum(xs, axis=1, out=xs)
     else:
-        xs = signal.lfilter([1.0], [1.0, -varsigma], eta, axis=1)
-    x = xs[:, burn:]                    # x_1 .. x_n
-    y = beta * x + eps[:, burn + 1 :]   # y_2 .. y_{n+1}
-    u = x[:, : n - 1]                   # pair regressors x_1 .. x_{n-1}
-    v = y[:, : n - 1]                   # pair responses  y_2 .. y_n
-    bad = _degenerate_mask(u)
-
+        xs = signal.lfilter([1.0], [1.0, -varsigma], xs, axis=1)
+    n_max = grid[-1]
+    u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
+    cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
+    bad = {n: _degenerate_mask(u[:, : n - 1]) for n in grid}
+    if want_ape:
+        e2 = eps[:, burn + 2 : burn + n_max] ** 2  # scored eps_3 .. eps_n
+    v = eps[:, burn + 1 : burn + n_max]  # pair responses y_2 .. y_n, in place
+    v += beta * u
     uu = u * u
     uv = u * v
-    s_xx = uu.sum(axis=1)
-    s_xy = uv.sum(axis=1)
-    safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
-    cols = {"x_n": x[:, -1].copy(), "beta_hat": s_xy / safe_xx, "s_xx": s_xx}
-
+    for n in grid:
+        s_xx = uu[:, : n - 1].sum(axis=1)
+        safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
+        cols[n].update(beta_hat=uv[:, : n - 1].sum(axis=1) / safe_xx, s_xx=s_xx)
     if want_ape:
-        c_xx = np.cumsum(uu, axis=1)[:, :-1]  # energy after pairs 1..n-2
-        c_xy = np.cumsum(uv, axis=1)[:, :-1]
-        ok = c_xx > 0.0
-        bh_path = c_xy / np.where(ok, c_xx, 1.0)
-        err = v[:, 1:] - u[:, 1:] * bh_path
-        cols["ape"] = np.where(ok, err * err, 0.0).sum(axis=1)
-        eps_scored = eps[:, burn + 2 : burn + n]
-        cols["sse"] = np.where(ok, eps_scored * eps_scored, 0.0).sum(axis=1)
-    return cols, bad
+        c_xx = np.cumsum(uu, axis=1, out=uu)[:, :-1]  # energy after pairs 1..n-2
+        off = ~(c_xx > 0.0)  # no estimate yet to predict the next pair
+        np.copyto(c_xx, 1.0, where=off)
+        err = np.cumsum(uv, axis=1, out=uv)[:, :-1]
+        np.divide(err, c_xx, out=err)  # running beta_hat
+        np.multiply(u[:, 1:], err, out=err)
+        np.subtract(v[:, 1:], err, out=err)
+        np.multiply(err, err, out=err)
+        np.copyto(err, 0.0, where=off)
+        np.copyto(e2, 0.0, where=off)
+        for n in grid:
+            cols[n].update(ape=err[:, : n - 2].sum(axis=1), sse=e2[:, : n - 2].sum(axis=1))
+    return {n: (cols[n], bad[n]) for n in grid}
 
 
 def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]:
@@ -176,73 +196,77 @@ def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]
     return cols
 
 
-def _chunk_worker(
-    config: ExperimentConfig, filt: Filter, n: int, want_ape: bool, max_failures: float,
-    rep_start: int, rep_stop: int,
-) -> tuple[dict, int]:
-    innov = config.innovations
-    burn = stationary_burn_in(config.varsigma)
-    total = burn + n + 1
-    count = rep_stop - rep_start
-    rho, sigma_theta_sq = derived_correlation(innov)
-    s_om = math.sqrt(innov.sigma_omega_sq)
-    s_th = math.sqrt(sigma_theta_sq)
+def _rate_error(failures: int, where: str) -> DegenerateRateError:
+    return DegenerateRateError(
+        f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} ({failures} resample events "
+        f"{where}); model cannot score predictions"
+    )
 
-    out: dict[str, np.ndarray] = {}
-    failures = 0
-    rows = max(4, _ROW_VALUES // (2 * total))
+
+def _chunk_worker(
+    config: ExperimentConfig, filt: Filter, grid: tuple[int, ...], want_ape: bool,
+    max_failures: float, rep_start: int, rep_stop: int,
+) -> tuple[dict, dict]:
+    burn = stationary_burn_in(config.varsigma)
+    rho, sigma_theta_sq = derived_correlation(config.innovations)
+    scales = (math.sqrt(config.innovations.sigma_omega_sq), rho, math.sqrt(sigma_theta_sq))
+    # draws fill in sequence and the FIR, cumsum and AR recursions are causal,
+    # so a path at n is a prefix of the path at n_max; but scipy's FIR lfilter
+    # (np.convolve) sums in another order once the input is no longer than
+    # the taps, so such a short n gets a pass of its own
+    passes = [(n,) for n in grid[:-1] if burn + n <= len(filt.coeffs)]
+    passes.append(grid[len(passes):])
+
+    out: dict[int, dict[str, np.ndarray]] = {}
+    failures = dict.fromkeys(grid, 0)
+    rows = max(4, _ROW_VALUES // (2 * (burn + grid[-1] + 1)))
     for block in range(rep_start, rep_stop, rows):
-        stop = min(block + rows, rep_stop)
-        reps = list(range(block, stop))
-        attempt = dict.fromkeys(reps, 0)
-        pending = reps
-        while pending:
-            z = np.empty((len(pending), total, 2))
-            for k, rep in enumerate(pending):
-                rng = substream(config.base_seed, ROLE_PATH, rep, attempt[rep])
-                z[k] = _standardized(rng, innov.family, (total, 2))
-            om = s_om * z[:, :, 0]
-            eps = rho * om + s_th * z[:, :, 1]
-            cols, bad = _path_columns(
-                om, eps, filt.coeffs, config.beta, config.varsigma, burn, n, want_ape
-            )
-            if not out:
-                out = {name: np.empty(count) for name in cols}
-            good = ~bad
-            idx = np.array([r - rep_start for r in pending])
-            for name, col in cols.items():
-                out[name][idx[good]] = col[good]
-            failed = [pending[j] for j in np.nonzero(bad)[0]]
-            failures += len(failed)
-            if failures > max_failures:
-                raise DegenerateRateError(
-                    f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} "
-                    f"({failures} resample events); model cannot score predictions"
+        # (reps, points) to score at this attempt; a row degenerate at n is
+        # rescored at n alone from its next attempt
+        block_reps = np.arange(block, min(block + rows, rep_stop))
+        todo, attempt = [(block_reps, points) for points in passes], 0
+        while todo:
+            retry = []
+            for reps, points in todo:
+                scored = _path_columns(
+                    _draws(config, reps, attempt, burn + points[-1] + 1), scales,
+                    filt.coeffs, config.beta, config.varsigma, burn, points, want_ape,
                 )
-            for rep in failed:
-                attempt[rep] += 1
-            pending = failed
+                for n, (cols, bad) in scored.items():
+                    if n not in out:
+                        out[n] = {name: np.empty(rep_stop - rep_start) for name in cols}
+                    for name, col in cols.items():
+                        out[n][name][reps[~bad] - rep_start] = col[~bad]
+                    failures[n] += int(bad.sum())
+                    if failures[n] > max_failures:
+                        raise _rate_error(failures[n], f"at n={n}")
+                    if bad.any():
+                        retry.append((reps[bad], (n,)))
+            todo, attempt = retry, attempt + 1
     return out, failures
 
 
 def sample_statistics(
     config: ExperimentConfig,
-    n: int,
+    grid: tuple[int, ...],
     want_ape: bool | None = None,
     workers: int = 1,
-) -> dict[str, np.ndarray]:
-    """Per-path statistic columns over all replications at one n.
+) -> dict[int, dict[str, np.ndarray]]:
+    """{n: per-path statistic columns over all replications} for each n of
+    ``grid``, from one pass: each replication is drawn, filtered and
+    integrated once at the largest n, and smaller n score its prefixes.
 
-    Deterministic for fixed (config, n): replication streams are keyed by
-    global replication index, work is cut into fixed-size chunks, and
-    chunk results are reassembled in index order regardless of which
-    worker produced them.
+    The columns at n, ``resampled`` included, are bit-identical to those
+    of a call with grid (n,), whatever the worker count (one process pool
+    when ``workers`` > 1): streams are keyed by replication index, and
+    fixed-size chunks are reassembled in index order.
     """
+    grid = tuple(sorted(set(grid)))
     if want_ape is None:
         want_ape = "excess_ape" in config.statistics
     filt = materialize_filter(config.filter_spec)
     max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
-    work = partial(_chunk_worker, config, filt, n, want_ape, max_failures)
+    work = partial(_chunk_worker, config, filt, grid, want_ape, max_failures)
     starts = range(0, config.reps, _CHUNK)
     stops = [min(start + _CHUNK, config.reps) for start in starts]
     if workers <= 1 or len(starts) == 1:
@@ -250,18 +274,14 @@ def sample_statistics(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, starts, stops))
-    failures = sum(r[1] for r in results)
-    if failures > max_failures:
-        raise DegenerateRateError(
-            f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} "
-            f"({failures} resample events over {config.reps} reps)"
-        )
-    base = {
-        name: np.concatenate([r[0][name] for r in results])
-        for name in results[0][0]
-    }
-    merged = _published_columns(base, config.beta, n)
-    merged["resampled"] = np.array([failures])
+    merged = {}
+    for n in grid:
+        failures = sum(r[1][n] for r in results)
+        if failures > max_failures:
+            raise _rate_error(failures, f"over {config.reps} reps at n={n}")
+        base = {name: np.concatenate([r[0][n][name] for r in results]) for name in results[0][0][n]}
+        merged[n] = _published_columns(base, config.beta, n)
+        merged[n]["resampled"] = np.array([failures])
     return merged
 
 
@@ -317,15 +337,13 @@ def summarize(
 
 def run(config: ExperimentConfig, workers: int = 1) -> list[McSummary]:
     """Mean and MC standard error of each requested statistic at each n."""
-    summaries = []
-    for n in config.n_grid:
-        columns = sample_statistics(config, n, workers=workers)
-        summaries += [
-            summarize(config, stat, n, columns[stat])
-            for stat in config.statistics
-            if stat != "cross_moment"
-        ]
-    return summaries
+    columns = sample_statistics(config, config.n_grid, workers=workers)
+    return [
+        summarize(config, stat, n, columns[n][stat])
+        for n in config.n_grid
+        for stat in config.statistics
+        if stat != "cross_moment"
+    ]
 
 
 def ape_slope(summaries: list[McSummary]) -> float:
@@ -401,8 +419,10 @@ def cross_moment(config: ExperimentConfig, workers: int = 1) -> dict:
     """
     if config.varsigma != 1.0:
         raise ConfigError(["cross_moment requires unit-root mode (varsigma = 1)"])
+    if config.reps < CORR_MIN_REPS:
+        raise ConfigError([f"cross_moment needs reps >= {CORR_MIN_REPS}, got {config.reps}"])
     n = config.n_grid[-1]
-    columns = sample_statistics(config, n, want_ape=False, workers=workers)
+    columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
     return cross_moment_from(columns, n)
 
 
@@ -433,7 +453,7 @@ def stationary_comparison(config: ExperimentConfig, workers: int = 1) -> dict:
             [f"stationary_comparison requires |varsigma| < 1, got {config.varsigma}"]
         )
     n = config.n_grid[-1]
-    columns = sample_statistics(config, n, want_ape=False, workers=workers)
+    columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
     return stationary_comparison_from(columns, n)
 
 

@@ -335,8 +335,8 @@ def test_criterion_9_weak_convergence(acceptance_report):
         base_seed=23,
         statistics=("fpe_stat",),
     )
-    near = sample_statistics(cfg, 4000)["fpe_stat"]
-    far = sample_statistics(cfg, 50)["fpe_stat"]
+    near = sample_statistics(cfg, (4000,))[4000]["fpe_stat"]
+    far = sample_statistics(cfg, (50,))[50]["fpe_stat"]
     params = LimitParams.from_model(materialize_filter(RANDOM_WALK), FULL_CORR)
     draws = limit_sample_batch(params, 1 << 12, 10_000, 17)["fpe_limit_draw"]
     ks_near = limit_distribution_check(near, draws)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -164,9 +165,9 @@ def test_all_skips_checks_the_mode_cannot_support(tmp_path):
 @pytest.mark.parametrize(
     "varsigma,points,standalone",
     [
-        (1.0, [40, 80, 160],
+        (1.0, [(40, 80, 160)],
          ("fpe", "ape-curve", "mse", "constants", "cross-moment", "limit-check")),
-        (0.5, [160], ("stationary", "constants")),
+        (0.5, [(160,)], ("stationary", "constants")),
     ],
     ids=["unit_root", "stationary"],
 )
@@ -185,9 +186,9 @@ def test_all_simulates_each_point_once_with_standalone_bits(
     simulated = []
     engine = monte_carlo.sample_statistics
 
-    def counted(config, n, *args, **kwargs):
-        simulated.append(n)
-        return engine(config, n, *args, **kwargs)
+    def counted(config, grid, *args, **kwargs):
+        simulated.append(tuple(grid))
+        return engine(config, grid, *args, **kwargs)
 
     monkeypatch.setattr(monte_carlo, "sample_statistics", counted)
     _, together = dispatch(
@@ -219,6 +220,40 @@ def test_limit_check_needs_enough_finite_draws(tmp_path, capsys):
     assert main(["limit-check", str(ini), "--out", str(tmp_path / "alone")]) == 2
     err = capsys.readouterr().err
     assert err == "config error: limit-check needs reps >= 1000 finite-n draws, got 400\n"
+
+
+@pytest.mark.parametrize("reps", [2, 3])
+def test_cross_moment_needs_four_reps(tmp_path, capsys, reps):
+    # the correlation's standard error divides by sqrt(reps - 3)
+    small = FAST_RUN.replace("reps = 400", f"reps = {reps}").replace("n_grid = 200", "n_grid = 50")
+    cfg, _ = load_run(small)
+    targets = Targets(m_log2=6, bm_reps=200, limit_reps=1000)
+    sink = io.StringIO()
+    _, man = dispatch("all", cfg, targets, out_dir=tmp_path / "all", stream=sink)
+    assert "cross-moment: skipped (cross-moment needs reps >= 4" in sink.getvalue()
+    assert "cross_moment.json" not in man.artifacts
+    assert (tmp_path / "all" / "manifest.json").exists()
+
+    ini = tmp_path / "few.ini"
+    ini.write_text(small)
+    assert main(["cross-moment", str(ini), "--out", str(tmp_path / "alone")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cross-moment needs reps >= 4")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    with pytest.raises(ConfigError, match="reps >= 4"):
+        monte_carlo.cross_moment(cfg)
+
+
+def test_broken_pool_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(monte_carlo, "sample_statistics", broken)
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN)
+    assert main(["fpe", str(ini), "--workers", "2", "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: a worker process terminated abruptly\n"
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,14 @@ def test_truncation_lag_lower_bound_honored():
     assert filt.lag >= 50
 
 
+def test_materialized_filter_is_shared_and_read_only():
+    filt = materialize_filter(FilterSpec(family="geometric", a=1.0, r=0.5))
+    assert materialize_filter(FilterSpec(family="geometric", a=1.0, r=0.5)) is filt
+    for values in (filt.coeffs, filt.tails):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
 def test_filter_validation_messages():
     with pytest.raises(ConfigError, match="not absolutely summable"):
         FilterSpec(family="geometric", a=1.0, r=1.0)

@@ -71,9 +71,9 @@ def test_run_is_deterministic():
 
 def test_arrays_independent_of_chunking(monkeypatch):
     cfg = config(reps=130, n_grid=(60,), statistics=("fpe_stat", "excess_ape"))
-    base = sample_statistics(cfg, 60)
+    base = sample_statistics(cfg, (60,))[60]
     monkeypatch.setattr(monte_carlo, "_CHUNK", 17)
-    chunked = sample_statistics(cfg, 60)
+    chunked = sample_statistics(cfg, (60,))[60]
     for key in ("fpe_stat", "norm_est_sq", "excess_ape"):
         assert np.array_equal(base[key], chunked[key])
 
@@ -81,16 +81,77 @@ def test_arrays_independent_of_chunking(monkeypatch):
 def test_arrays_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
     cfg = config(reps=120, n_grid=(50,))
-    solo = sample_statistics(cfg, 50, workers=1)
-    duo = sample_statistics(cfg, 50, workers=2)
+    solo = sample_statistics(cfg, (50,), workers=1)[50]
+    duo = sample_statistics(cfg, (50,), workers=2)[50]
     for key in ("fpe_stat", "norm_est_sq"):
         assert np.array_equal(solo[key], duo[key])
 
 
 def test_seed_changes_results():
-    a = sample_statistics(config(base_seed=1), 100)
-    b = sample_statistics(config(base_seed=2), 100)
+    a = sample_statistics(config(base_seed=1), (100,))[100]
+    b = sample_statistics(config(base_seed=2), (100,))[100]
     assert not np.array_equal(a["fpe_stat"], b["fpe_stat"])
+
+
+# ------------------------------------------- grid points share one pass
+
+GRID_CASES = [
+    # 27 taps: n = 5 and 20 are shorter than the filter
+    (FilterSpec(family="geometric", a=1.0, r=0.5),
+     InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5), 1.0),
+    (FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),
+     InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.0, family="laplace"), 1.0),
+    (RANDOM_WALK,
+     InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.3, family="uniform"), 0.5),
+]
+
+
+def _assert_grid_matches_points(cfg, **kwargs):
+    together = sample_statistics(cfg, cfg.n_grid, **kwargs)
+    assert list(together) == list(cfg.n_grid)
+    for n in cfg.n_grid:
+        alone = sample_statistics(dataclasses.replace(cfg, n_grid=(n,)), (n,), **kwargs)[n]
+        assert together[n].keys() == alone.keys()
+        for key, col in alone.items():
+            assert together[n][key].tobytes() == col.tobytes(), (n, key)
+    return together
+
+
+@pytest.mark.parametrize("want_ape", [True, False], ids=["ape", "no_ape"])
+@pytest.mark.parametrize("filter_spec,innov,varsigma", GRID_CASES)
+def test_grid_points_equal_single_point_bits(filter_spec, innov, varsigma, want_ape):
+    cfg = ExperimentConfig(
+        filter_spec=filter_spec, innovations=innov, beta=0.8, varsigma=varsigma,
+        n_grid=(5, 20, 60, 300), reps=150, base_seed=11,
+    )
+    _assert_grid_matches_points(cfg, want_ape=want_ape)
+
+
+def test_grid_points_equal_single_point_bits_in_a_pool(monkeypatch):
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
+    cfg = config(reps=120, n_grid=(30, 90, 200), statistics=("excess_ape",))
+    pooled = _assert_grid_matches_points(cfg, workers=2)
+    solo = sample_statistics(cfg, cfg.n_grid)
+    for n in cfg.n_grid:
+        for key, col in solo[n].items():
+            assert pooled[n][key].tobytes() == col.tobytes(), (n, key)
+
+
+def test_grid_resamples_each_point_on_its_own(monkeypatch):
+    monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
+    grid = (20, 60, 150)
+
+    def flag(u):  # ~11% of rows each at the two smaller n, disjoint per attempt
+        n = u.shape[1] + 1
+        if n == grid[0]:
+            return u[:, 0] > 1.2
+        return u[:, 0] < -1.2 if n == grid[1] else np.zeros(len(u), dtype=bool)
+
+    monkeypatch.setattr(monte_carlo, "_degenerate_mask", flag)
+    cfg = config(reps=300, n_grid=grid, statistics=("excess_ape",))
+    together = _assert_grid_matches_points(cfg)
+    assert together[20]["resampled"][0] > 0 and together[60]["resampled"][0] > 0
+    assert together[150]["resampled"][0] == 0
 
 
 # ------------------------------------------------- engine vs scalar path
@@ -113,7 +174,7 @@ def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
         filter_spec=filter_spec, innovations=innov, beta=0.8, varsigma=varsigma,
         n_grid=(n,), reps=reps, base_seed=77, statistics=("excess_ape",),
     )
-    arrays = sample_statistics(cfg, n)
+    arrays = sample_statistics(cfg, (n,))[n]
     filt = materialize_filter(filter_spec)
     for rep in range(reps):
         rng = substream(77, ROLE_PATH, rep)
@@ -124,7 +185,7 @@ def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
 
 
 def test_fpe_column_is_exact_product():
-    arrays = sample_statistics(config(reps=500), 100, want_ape=False)
+    arrays = sample_statistics(config(reps=500), (100,), want_ape=False)[100]
     assert np.array_equal(
         arrays["fpe_stat"], arrays["x_n_sq_over_n"] * arrays["norm_est_sq"]
     )
@@ -174,8 +235,8 @@ def test_degenerate_paths_resampled_deterministically(monkeypatch):
     flag = lambda u: u[:, 0] > 1.2  # reject ~11% of first regressors
     monkeypatch.setattr(monte_carlo, "_degenerate_mask", flag)
     cfg = config(reps=400, n_grid=(40,))
-    a = sample_statistics(cfg, 40, want_ape=False)
-    b = sample_statistics(cfg, 40, want_ape=False)
+    a = sample_statistics(cfg, (40,), want_ape=False)[40]
+    b = sample_statistics(cfg, (40,), want_ape=False)[40]
     assert a["resampled"][0] > 0
     assert a["resampled"][0] == b["resampled"][0]
     assert np.array_equal(a["fpe_stat"], b["fpe_stat"])
@@ -189,7 +250,7 @@ def test_unscoreable_model_aborts():
         base_seed=0, statistics=("fpe_stat",),
     )
     with pytest.raises(RuntimeError, match="degenerate-path rate"):
-        sample_statistics(cfg, 3, want_ape=False)
+        sample_statistics(cfg, (3,), want_ape=False)
 
 
 # ------------------------------------------------------------- ape_slope
@@ -229,7 +290,7 @@ def test_stationary_comparison_requires_stationary():
 def test_cross_moment_joint_equals_mean_fpe():
     cfg = config(reps=3000, n_grid=(500,))
     out = cross_moment(cfg)
-    arrays = sample_statistics(cfg, 500, want_ape=False)
+    arrays = sample_statistics(cfg, (500,), want_ape=False)[500]
     assert out["joint"] == float(np.sum(arrays["fpe_stat"]) / 3000)
     assert out["n"] == 500 and out["reps"] == 3000
     assert out["corr"] < 0.0
@@ -297,7 +358,7 @@ def test_fpe_deviation_monotone_on_median():
         devs = []
         for seed in range(100, 105):
             cfg = config(base_seed=seed, reps=25_000, n_grid=(n,))
-            mean = float(np.mean(sample_statistics(cfg, n, want_ape=False)["fpe_stat"]))
+            mean = float(np.mean(sample_statistics(cfg, (n,), want_ape=False)[n]["fpe_stat"]))
             devs.append(abs(mean - 2.0))
         medians.append(float(np.median(devs)))
     assert medians[0] > medians[1] > medians[2]
