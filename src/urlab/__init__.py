@@ -18,14 +18,13 @@ from .brownian import (
 )
 from .errors import (
     ConfigError,
-    DegeneratePathError,
     DegenerateRateError,
     NotStartedError,
     PathTooShortError,
     ReconstructionError,
     ResamplePathError,
 )
-from .innovations import FAMILIES, InnovationSpec, derived_correlation, draw_pair, draw_pairs
+from .innovations import FAMILIES, InnovationSpec, derived_correlation, draw_pairs
 from .linear_process import (
     FILTER_FAMILIES,
     Filter,
@@ -33,10 +32,8 @@ from .linear_process import (
     Trajectory,
     decompose,
     generate_path,
-    log_fisher_diagnostic,
     materialize_filter,
     stationary_burn_in,
-    strong_law_diagnostic,
 )
 from .monte_carlo import (
     STATISTICS,
@@ -45,10 +42,10 @@ from .monte_carlo import (
     ape_slope,
     cross_moment,
     limit_distribution_check,
+    limit_target,
     run,
     sample_statistics,
     stationary_comparison,
-    two_sample_ks,
 )
 from .rls import NeumaierSum, PathStats, RlsState, run_path
 from .streams import ROLE_BM, ROLE_CONSTANTS, ROLE_PATH, substream
@@ -62,7 +59,6 @@ __all__ = [
     "ConfigError",
     "ConstantEstimate",
     "ConstantsReport",
-    "DegeneratePathError",
     "DegenerateRateError",
     "ExperimentConfig",
     "FAMILIES",
@@ -88,7 +84,6 @@ __all__ = [
     "cross_moment",
     "decompose",
     "derived_correlation",
-    "draw_pair",
     "draw_pairs",
     "estimate_constants",
     "generate_path",
@@ -96,7 +91,7 @@ __all__ = [
     "limit_distribution_check",
     "limit_sample",
     "limit_sample_batch",
-    "log_fisher_diagnostic",
+    "limit_target",
     "materialize_filter",
     "mse_limit_formula",
     "run",
@@ -104,8 +99,6 @@ __all__ = [
     "sample_statistics",
     "stationary_burn_in",
     "stationary_comparison",
-    "strong_law_diagnostic",
     "substream",
     "time_integral_sq",
-    "two_sample_ks",
 ]

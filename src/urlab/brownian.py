@@ -156,12 +156,10 @@ def _batch_rows(m: int) -> int:
     return max(1, _BATCH_VALUES // max(m, 1))
 
 
-def limit_sample_batch(
-    p: LimitParams, m: int, reps: int, base_seed: int, role: int = ROLE_BM
-) -> dict:
+def limit_sample_batch(p: LimitParams, m: int, reps: int, base_seed: int) -> dict:
     """Vectorized limit_sample over ``reps`` paths.
 
-    Draws are keyed by (base_seed, role, batch index) with a fixed batch
+    Draws are keyed by (base_seed, ROLE_BM, batch index) with a fixed batch
     width, so results do not depend on how the loop is scheduled.
     Degenerate paths (time integral under the floor) are replaced from
     attempt-tagged substreams and counted; ResamplePathError is raised
@@ -176,7 +174,7 @@ def limit_sample_batch(
     scale = math.sqrt(1.0 / m)
     while start < reps:
         take = min(rows, reps - start)
-        rng = substream(base_seed, role, batch)
+        rng = substream(base_seed, ROLE_BM, batch)
         z = rng.standard_normal((take, m, 2)) * scale
         dwa, dwb = z[:, :, 0], z[:, :, 1]
         wa = np.cumsum(dwa, axis=1)
@@ -184,7 +182,7 @@ def limit_sample_batch(
         q = np.einsum("ij,ij->i", lev[:, :-1], lev[:, :-1]) / m
         for r in np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]:
             for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
-                sub = substream(base_seed, role, start + int(r), attempt)
+                sub = substream(base_seed, ROLE_BM, start + int(r), attempt)
                 z2 = sub.standard_normal((m, 2)) * scale
                 la = np.concatenate(([0.0], np.cumsum(z2[:, 0])))
                 if time_integral_sq(la) >= _TIME_INTEGRAL_FLOOR:

@@ -11,7 +11,7 @@ varsigma = 1; the stationary contrast requires |varsigma| < 1.  The "all"
 subcommand runs whichever checks the config's mode supports and reports
 the others as skipped.
 
-The [targets] sizes are checked when the config is parsed: m_log2 >= 1,
+The [targets] sizes are checked when the config is parsed: 1 <= m_log2 <= 20,
 bm_reps >= 2 and limit_reps >= 1000.  limit-check also needs reps >= 1000
 finite-n draws (the KS distance's floor on each side) and cross-moment
 reps >= 4 (the correlation's standard error); with fewer, "all" skips
@@ -19,9 +19,10 @@ them.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
 comparison under --strict, 2 a bad config (including a target out of its
-range, or a check the mode or the reps cannot run), 3 paths that cannot be
-scored (DegenerateRateError, or ResamplePathError once the resample cap is
-hit), 4 a worker process of the --workers pool died (BrokenProcessPool).
+range, or a check the mode or the reps cannot run) or usage (--workers < 1),
+3 paths that cannot be scored (DegenerateRateError, or ResamplePathError
+once the resample cap is hit), 4 a worker process of the --workers pool
+died (BrokenProcessPool).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from . import brownian, monte_carlo, reporting
@@ -74,10 +75,15 @@ class Targets(Validated):
 
     def problems(self) -> list[str]:
         """Every violated constraint, empty when the targets are valid."""
-        # m = 1 leaves every Brownian path degenerate; the KS distance
-        # needs KS_MIN_SAMPLES draws per side
-        floors = {"m_log2": 1, "bm_reps": 2, "limit_reps": monte_carlo.KS_MIN_SAMPLES}
-        return [
+        out = []
+        # m = 1 leaves every Brownian path degenerate, and a path drawn at
+        # the refined grid 2m must fit one batch of brownian._BATCH_VALUES
+        m_log2_max = brownian._BATCH_VALUES.bit_length() - 2
+        if not 1 <= self.m_log2 <= m_log2_max:
+            out.append(f"m_log2 must be >= 1 and <= {m_log2_max}, got {self.m_log2}")
+        # the KS distance needs KS_MIN_SAMPLES draws per side
+        floors = {"bm_reps": 2, "limit_reps": monte_carlo.KS_MIN_SAMPLES}
+        return out + [
             f"{key} must be >= {floor}, got {getattr(self, key)}"
             for key, floor in floors.items()
             if getattr(self, key) < floor
@@ -226,11 +232,6 @@ def load_run(text: str) -> tuple[ExperimentConfig, Targets]:
     return config, targets
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Validated ExperimentConfig from INI text; see load_run."""
-    return load_run(text)[0]
-
-
 def serialize_config(config: ExperimentConfig, targets: Targets | None = None) -> str:
     """INI text that parses back to an equal config (round-trip)."""
 
@@ -307,7 +308,7 @@ def _grid_rows(summaries, target, floor, se_mult):
 def _run_fpe(config, targets, columns):
     _require_unit_root(config, "fpe")
     summaries = _grid_summaries(config, "fpe_stat", columns)
-    target = 2.0 * config.innovations.sigma_sq
+    target = monte_carlo.limit_target(config, "fpe_stat", config.n_grid[-1])
     rows = _grid_rows(summaries, target, targets.fpe_floor, targets.se_mult)
     files = {
         "fpe_summary.csv": summaries,
@@ -321,7 +322,8 @@ def _run_ape(config, targets, columns):
     _require_ape_grid(config)
     summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
-    target = 2.0 * config.innovations.sigma_sq
+    # the paper's claim: APE grows per log n by the FPE constant
+    target = monte_carlo.limit_target(config, "fpe_stat", config.n_grid[-1])
     rows = [
         _row(f"excess_ape/log n @ n={s.n}", s.mean / math.log(s.n), target, math.inf)
         for s in summaries
@@ -339,9 +341,7 @@ def _run_ape(config, targets, columns):
 def _run_mse(config, targets, columns):
     _require_unit_root(config, "mse")
     summaries = _grid_summaries(config, "norm_est_sq", columns)
-    filt = materialize_filter(config.filter_spec)
-    params = brownian.LimitParams.from_model(filt, config.innovations)
-    target = brownian.mse_limit_formula(params)
+    target = monte_carlo.limit_target(config, "norm_est_sq", config.n_grid[-1])
     rows = _grid_rows(summaries, target, targets.mse_floor, targets.se_mult)
     files = {
         "mse_summary.csv": summaries,
@@ -369,13 +369,10 @@ def _run_cross(config, targets, columns):
     _require_reps(config, "cross-moment", monte_carlo.CORR_MIN_REPS, "for the correlation's se")
     n = config.n_grid[-1]
     out = monte_carlo.cross_moment_from(columns(n), n)
-    iv = config.innovations
-    rho = iv.pi / iv.sigma_omega_sq
-    joint_target = 2.0 * iv.sigma_sq
-    # product limit K2 sigma^2 + (K1 - K2) rho^2 sigma_omega^2
-    prod_target = brownian.CANONICAL_K2.value * iv.sigma_sq + (
-        brownian.CANONICAL_K1.value - brownian.CANONICAL_K2.value
-    ) * rho**2 * iv.sigma_omega_sq
+    target = partial(monte_carlo.limit_target, config, n=n)
+    joint_target = target("fpe_stat")
+    # lambda^2 times the MSE limit is K2 sigma^2 + (K1 - K2) rho^2 sigma_omega^2
+    prod_target = target("x_n_sq_over_n") * target("norm_est_sq")
     rows = [
         _row(
             "joint moment",
@@ -541,6 +538,17 @@ def dispatch(
     return failures, manifest
 
 
+def _count(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="urlab",
@@ -550,7 +558,7 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("config", help="path to an INI experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_count, default=1, help="processes, >= 1")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
         "--strict", action="store_true", help="exit 1 when any comparison fails"

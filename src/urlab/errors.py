@@ -34,10 +34,6 @@ class PathTooShortError(RuntimeError):
     """Fewer than two usable regression pairs: no prediction can be scored."""
 
 
-class DegeneratePathError(RuntimeError):
-    """A path whose Fisher information is exactly zero."""
-
-
 class ReconstructionError(RuntimeError):
     """Martingale/remainder split failed to reproduce the regressor path,
     usually because the filter does not match the trajectory."""

@@ -96,8 +96,3 @@ def draw_pairs(
     epsilon = rho * omega + math.sqrt(sigma_theta_sq) * z[:, 1]
     return omega, epsilon
 
-
-def draw_pair(rng: np.random.Generator, spec: InnovationSpec) -> tuple[float, float]:
-    """Draw a single contemporaneous (omega, epsilon) pair."""
-    omega, epsilon = draw_pairs(rng, spec, 1)
-    return float(omega[0]), float(epsilon[0])

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal, special
 
-from .errors import ConfigError, DegeneratePathError, ReconstructionError, Validated
+from .errors import ConfigError, ReconstructionError, Validated
 from .innovations import InnovationSpec, draw_pairs
 
 FILTER_FAMILIES = ("finite", "geometric", "polynomial")
@@ -110,13 +110,6 @@ class Filter:
     @property
     def lag(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def iota_sq(self) -> float:
-        return self.theta**2
-
-    def lambda_given(self, sigma_omega: float) -> float:
-        return sigma_omega * self.theta
 
     def truncated_partial_sums(self) -> tuple[float, np.ndarray]:
         """(theta, tails) of the truncated series itself.
@@ -313,35 +306,3 @@ def decompose(traj: Trajectory, filt: Filter) -> tuple[np.ndarray, np.ndarray]:
         )
     return nmat, smat
 
-
-def strong_law_diagnostic(z: np.ndarray, d: np.ndarray, sigma_omega_sq: float) -> float:
-    """Average centered square (1/n) sum_t (z_t^2 - gamma_t).
-
-    gamma_t = sigma_omega_sq * sum_{j=0}^{t-1} d_j^2 is the exact variance
-    of an MA(z) built from the first min(t, len(d)) taps.  The strong law
-    says the return value is o(1); thresholds live with the caller.
-    """
-    z = np.asarray(z, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = len(z)
-    gamma = sigma_omega_sq * np.cumsum(d**2)
-    if n <= len(d):
-        gammas = gamma[:n]
-    else:
-        gammas = np.concatenate((gamma, np.full(n - len(d), gamma[-1])))
-    return float(np.mean(z**2 - gammas))
-
-
-def log_fisher_diagnostic(traj: Trajectory) -> tuple[float, float, float]:
-    """(log sum_{j=1}^{n-1} x_j^2, 2 log n, their difference).
-
-    The sum is the design energy behind beta_hat_n; on unit-root paths its
-    log grows like 2 log n, so the difference is the caller's diagnostic.
-    """
-    xs = traj.x[1 : traj.n]
-    s = float(np.dot(xs, xs))
-    if s == 0.0:
-        raise DegeneratePathError("sum of squared regressors is zero")
-    log_s = math.log(s)
-    two_log_n = 2.0 * math.log(traj.n)
-    return log_s, two_log_n, log_s - two_log_n

@@ -28,7 +28,6 @@ STATISTICS = (
     "fpe_stat",
     "norm_est_sq",
     "x_n_sq_over_n",
-    "cross_moment",
     "log_fisher",
 )
 
@@ -272,7 +271,8 @@ def sample_statistics(
     if workers <= 1 or len(starts) == 1:
         results = list(map(work, starts, stops))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool forks all its workers up front; more than chunks would idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             results = list(pool.map(work, starts, stops))
     merged = {}
     for n in grid:
@@ -294,25 +294,26 @@ def _mean_se(a: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / r)
 
 
-def _ratio_target(config: ExperimentConfig, statistic: str, n: int) -> float | None:
-    """Asymptotic normalization for each statistic, if one applies.
+def limit_target(config: ExperimentConfig, statistic: str, n: int) -> float | None:
+    """Asymptotic mean of a statistic at n, if one applies.
 
     The targets are integrated-regressor limits, so stationary-mode runs
-    get no ratio column.
+    get None.
     """
     if config.varsigma != 1.0:
         return None
     sigma_sq = config.innovations.sigma_sq
-    filt = materialize_filter(config.filter_spec)
+    params = brownian.LimitParams.from_model(
+        materialize_filter(config.filter_spec), config.innovations
+    )
     if statistic == "fpe_stat":
         return 2.0 * sigma_sq
     if statistic == "excess_ape":
         return 2.0 * sigma_sq * math.log(n)
     if statistic == "norm_est_sq":
-        params = brownian.LimitParams.from_model(filt, config.innovations)
         return brownian.mse_limit_formula(params)
     if statistic == "x_n_sq_over_n":
-        return filt.lambda_given(math.sqrt(config.innovations.sigma_omega_sq)) ** 2
+        return params.lam**2
     if statistic == "log_fisher":
         return 2.0 * math.log(n)
     return None
@@ -323,7 +324,7 @@ def summarize(
 ) -> McSummary:
     """Mean and MC standard error of one statistic's per-path column at n."""
     mean, se = _mean_se(column)
-    target = _ratio_target(config, statistic, n)
+    target = limit_target(config, statistic, n)
     return McSummary(
         statistic=statistic,
         n=n,
@@ -342,7 +343,6 @@ def run(config: ExperimentConfig, workers: int = 1) -> list[McSummary]:
         summarize(config, stat, n, columns[n][stat])
         for n in config.n_grid
         for stat in config.statistics
-        if stat != "cross_moment"
     ]
 
 
@@ -457,7 +457,7 @@ def stationary_comparison(config: ExperimentConfig, workers: int = 1) -> dict:
     return stationary_comparison_from(columns, n)
 
 
-def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
+def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)|."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
@@ -476,4 +476,4 @@ def limit_distribution_check(
         raise ValueError(
             f"need >= {KS_MIN_SAMPLES} samples per side, got {sizes[0]} and {sizes[1]}"
         )
-    return two_sample_ks(finite_sample, limit_sample)
+    return _two_sample_ks(finite_sample, limit_sample)

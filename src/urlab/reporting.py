@@ -15,7 +15,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 SUMMARY_COLUMNS = ("statistic", "n", "mean", "mc_se", "reps", "seed")
-TRAJECTORY_COLUMNS = ("t", "omega", "epsilon", "eta", "x", "y")
 
 
 def _cell(value) -> str:
@@ -56,26 +55,3 @@ def write_json(path, payload) -> Path:
 def checksum(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-
-def trajectory_rows(traj) -> list[dict]:
-    """Column-oriented dump of one path for debugging.
-
-    Row t carries whichever series are defined at t: x starts at 0,
-    omega and eta at 1, epsilon and y at 2 and run through n+1.
-    """
-    rows = [{"t": 0, "x": 0.0}]
-    for t in range(1, traj.n + 2):
-        row: dict = {"t": t}
-        if t <= traj.n:
-            row["omega"] = float(traj.omega[t - 1])
-            row["eta"] = float(traj.eta[t - 1])
-            row["x"] = float(traj.x[t])
-        if t >= 2:
-            row["epsilon"] = float(traj.epsilon[t - 2])
-            row["y"] = float(traj.y[t - 2])
-        rows.append(row)
-    return rows
-
-
-def write_trajectory_csv(path, traj) -> Path:
-    return write_text(path, render_csv(trajectory_rows(traj), TRAJECTORY_COLUMNS))

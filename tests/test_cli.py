@@ -12,7 +12,6 @@ from urlab.cli import (
     dispatch,
     load_run,
     main,
-    parse_config,
     serialize_config,
 )
 
@@ -47,7 +46,7 @@ fpe_floor = 0.5
 
 
 def test_minimal_config_is_full_correlation_walk():
-    cfg = parse_config(MINIMAL)
+    cfg = load_run(MINIMAL)[0]
     assert cfg.filter_spec.coeffs == (1.0,)
     assert cfg.innovations.pi == 1.0
     assert cfg.innovations.sigma_omega_sq == 1.0  # rho = 1
@@ -71,7 +70,7 @@ reps = 1
 volume = 11
 """
     with pytest.raises(ConfigError) as exc:
-        parse_config(bad)
+        load_run(bad)
     msgs = exc.value.problems
     assert any("not absolutely summable" in m for m in msgs)
     assert any("Cauchy-Schwarz" in m for m in msgs)
@@ -83,17 +82,17 @@ volume = 11
 
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[plotting\]"):
-        parse_config(MINIMAL + "\n[plotting]\nstyle = dark\n")
+        load_run(MINIMAL + "\n[plotting]\nstyle = dark\n")
 
 
 def test_syntax_error_wrapped():
     with pytest.raises(ConfigError, match="config syntax"):
-        parse_config("not an ini file at all [")
+        load_run("not an ini file at all [")
 
 
 def test_round_trip_identity():
     configs = [
-        parse_config(MINIMAL),
+        load_run(MINIMAL)[0],
         ExperimentConfig(
             filter_spec=FilterSpec(family="geometric", a=-1.5, r=0.25, tail_tol=1e-10),
             innovations=InnovationSpec(2.0, 3.0, 0.125, "laplace"),
@@ -111,12 +110,12 @@ def test_round_trip_identity():
         ),
     ]
     for cfg in configs:
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert load_run(serialize_config(cfg))[0] == cfg
 
 
 def test_targets_round_trip():
     targets = Targets(se_mult=3.0, ks_max=0.05, m_log2=8, bm_reps=1000)
-    cfg = parse_config(MINIMAL)
+    cfg = load_run(MINIMAL)[0]
     _, parsed = load_run(serialize_config(cfg, targets))
     assert parsed == targets
 
@@ -256,9 +255,25 @@ def test_broken_pool_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     assert err == "error: a worker process terminated abruptly\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN)
+    with pytest.raises(SystemExit) as exc:
+        main(["fpe", str(ini), "--workers", workers, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "subcommand,setting",
-    [("limit-check", "limit_reps = 10"), ("all", "m_log2 = 0"), ("all", "bm_reps = 1")],
+    [
+        ("limit-check", "limit_reps = 10"),
+        ("all", "m_log2 = 0"),
+        ("all", "bm_reps = 1"),
+        ("all", "m_log2 = 21"),
+    ],
 )
 def test_targets_out_of_range_rejected_at_parse(tmp_path, capsys, subcommand, setting):
     ini = tmp_path / "targets.ini"

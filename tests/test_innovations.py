@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from urlab import ConfigError, InnovationSpec, derived_correlation, draw_pair, draw_pairs
+from urlab import ConfigError, InnovationSpec, derived_correlation, draw_pairs
 from urlab.innovations import _standardized
 from urlab.streams import ROLE_PATH, substream
 
@@ -80,9 +80,9 @@ def test_scalar_loop_matches_vectorized_draws():
     om_v, eps_v = draw_pairs(substream(9, ROLE_PATH, 4), spec, 8)
     rng = substream(9, ROLE_PATH, 4)
     for k in range(8):
-        om_s, eps_s = draw_pair(rng, spec)
-        assert om_s == om_v[k]
-        assert eps_s == eps_v[k]
+        om_s, eps_s = draw_pairs(rng, spec, 1)
+        assert om_s[0] == om_v[k]
+        assert eps_s[0] == eps_v[k]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "laplace", "uniform"])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +5,16 @@ from scipy import special
 
 from urlab import (
     ConfigError,
-    DegeneratePathError,
+    ExperimentConfig,
     FilterSpec,
     InnovationSpec,
+    LimitParams,
     ReconstructionError,
-    Trajectory,
     decompose,
     generate_path,
-    log_fisher_diagnostic,
     materialize_filter,
+    sample_statistics,
     stationary_burn_in,
-    strong_law_diagnostic,
 )
 from urlab.streams import ROLE_PATH, substream
 
@@ -33,8 +30,9 @@ def test_finite_filter_closed_forms():
     assert filt.lag == 2
     assert filt.tails == pytest.approx([1.5, -0.5, 0.0], abs=1e-15)
     assert filt.tail_bound == 0.0
-    assert filt.iota_sq == pytest.approx(6.25)
-    assert filt.lambda_given(2.0) == pytest.approx(5.0)
+    params = LimitParams.from_model(filt, InnovationSpec(sigma_omega_sq=4.0, sigma_sq=4.0))
+    assert params.iota_sq == pytest.approx(6.25)
+    assert params.lam == pytest.approx(5.0)
 
 
 def test_geometric_filter_closed_forms():
@@ -202,51 +200,11 @@ def test_reconstruction_property(coeffs, seed):
 
 # ---------------------------------------------------------- diagnostics
 
-def test_strong_law_hand_case():
-    # taps d=(1,), sigma_omega_sq=1: value is mean(z^2) - 1
-    z = np.array([1.0, -1.0, 2.0])
-    assert strong_law_diagnostic(z, np.array([1.0]), 1.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_strong_law_shrinks_with_n():
-    filt = materialize_filter(FilterSpec(family="finite", coeffs=(1.0, 0.5)))
-    innov = InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.0)
-    vals = []
-    for n in (200, 2000, 20000):
-        traj = generate_path(filt, innov, 1.0, n, substream(11, ROLE_PATH, 0))
-        vals.append(abs(strong_law_diagnostic(traj.eta, filt.coeffs, 1.0)))
-    assert vals[2] < vals[0]
-
-
-def test_log_fisher_injected_quadratic_path():
-    n = 1000
-    x = np.arange(n + 1, dtype=float)
-    traj = Trajectory(
-        n=n, omega=np.ones(n), epsilon=np.zeros(n), eta=np.ones(n),
-        x=x, y=x[1:], beta=1.0,
-    )
-    log_s, two_log_n, diff = log_fisher_diagnostic(traj)
-    expected = math.log((n - 1) * n * (2 * n - 1) / 6.0)
-    assert log_s == pytest.approx(expected, rel=1e-12)
-    assert two_log_n == pytest.approx(2.0 * math.log(n))
-    assert diff == pytest.approx(expected - two_log_n, rel=1e-12)
-
-
 def test_log_fisher_bounded_on_unit_root_paths():
-    filt = materialize_filter(RANDOM_WALK)
-    diffs = []
-    for rep in range(50):
-        traj = generate_path(filt, FULL_CORR, 1.0, 2000, substream(13, ROLE_PATH, rep))
-        diffs.append(log_fisher_diagnostic(traj)[2])
+    cfg = ExperimentConfig(
+        filter_spec=RANDOM_WALK, innovations=FULL_CORR, n_grid=(2000,), reps=50,
+        base_seed=13, statistics=("log_fisher",),
+    )
+    diffs = sample_statistics(cfg, (2000,), want_ape=False)[2000]["log_fisher"]
     # centered growth: log energy tracks 2 log n up to an O(1) spread
     assert abs(float(np.median(diffs))) < 3.0
-
-
-def test_log_fisher_degenerate_path_raises():
-    n = 5
-    traj = Trajectory(
-        n=n, omega=np.zeros(n), epsilon=np.zeros(n), eta=np.zeros(n),
-        x=np.zeros(n + 1), y=np.zeros(n), beta=1.0,
-    )
-    with pytest.raises(DegeneratePathError):
-        log_fisher_diagnostic(traj)

@@ -20,10 +20,9 @@ from urlab import (
     run_path,
     sample_statistics,
     stationary_comparison,
-    two_sample_ks,
 )
 from urlab import monte_carlo
-from urlab.monte_carlo import McSummary
+from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
@@ -85,6 +84,32 @@ def test_arrays_independent_of_worker_count(monkeypatch):
     duo = sample_statistics(cfg, (50,), workers=2)[50]
     for key in ("fpe_stat", "norm_est_sq"):
         assert np.array_equal(solo[key], duo[key])
+
+
+def test_pool_opens_no_more_workers_than_chunks(monkeypatch):
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
+    cfg = config(reps=100, n_grid=(50,))
+    solo = sample_statistics(cfg, (50,))[50]
+    monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", SerialPool)
+    pooled = sample_statistics(cfg, (50,), workers=64)[50]
+    assert opened == [3]
+    for key, col in solo.items():
+        assert pooled[key].tobytes() == col.tobytes(), key
 
 
 def test_seed_changes_results():
@@ -178,9 +203,11 @@ def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
     filt = materialize_filter(filter_spec)
     for rep in range(reps):
         rng = substream(77, ROLE_PATH, rep)
-        stats_ = run_path(generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma))
-        ref = dataclasses.asdict(stats_)
-        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape"):
+        traj = generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma)
+        ref = dataclasses.asdict(run_path(traj))
+        xs = traj.x[1:n]
+        ref["log_fisher"] = math.log(np.dot(xs, xs)) - 2.0 * math.log(n)
+        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape", "log_fisher"):
             assert arrays[key][rep] == pytest.approx(ref[key], rel=1e-10, abs=1e-12)
 
 
@@ -220,12 +247,6 @@ def test_mc_se_suppressed_for_tiny_runs():
     assert summaries[0].mc_se is None
     summaries = run(config(reps=30, n_grid=(30,)))
     assert summaries[0].mc_se is not None
-
-
-def test_cross_moment_statistic_not_summarized_directly():
-    cfg = config(statistics=("cross_moment", "fpe_stat"), reps=100)
-    summaries = run(cfg)
-    assert {s.statistic for s in summaries} == {"fpe_stat"}
 
 
 # ---------------------------------------------------------- resampling
@@ -326,7 +347,7 @@ def test_stationary_moments_near_sigma_sq():
 )
 @settings(max_examples=80, deadline=None)
 def test_ks_matches_scipy(a, b):
-    ours = two_sample_ks(np.array(a), np.array(b))
+    ours = _two_sample_ks(np.array(a), np.array(b))
     ref = stats.ks_2samp(a, b, method="asymp").statistic
     assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -334,7 +355,7 @@ def test_ks_matches_scipy(a, b):
 def test_ks_with_ties_across_samples():
     a = np.array([1.0, 2.0, 2.0, 3.0])
     b = np.array([2.0, 2.0, 4.0])
-    assert two_sample_ks(a, b) == pytest.approx(
+    assert _two_sample_ks(a, b) == pytest.approx(
         stats.ks_2samp(a, b, method="asymp").statistic, abs=1e-12
     )
 

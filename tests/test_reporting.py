@@ -1,18 +1,14 @@
 import numpy as np
 
-from urlab import FilterSpec, InnovationSpec, generate_path, materialize_filter
 from urlab.monte_carlo import McSummary
 from urlab.reporting import (
     SUMMARY_COLUMNS,
     checksum,
     render_csv,
     render_json,
-    trajectory_rows,
     write_json,
     write_summary_csv,
-    write_trajectory_csv,
 )
-from urlab.streams import ROLE_PATH, substream
 
 
 def test_csv_layout_and_float_round_trip(tmp_path):
@@ -50,28 +46,6 @@ def test_checksum_tracks_content(tmp_path):
     c = write_json(tmp_path / "c.json", {"v": 2})
     assert checksum(a) == checksum(b)
     assert checksum(a) != checksum(c)
-
-
-def test_trajectory_dump_alignment(tmp_path):
-    filt = materialize_filter(FilterSpec(family="finite", coeffs=(1.0,)))
-    innov = InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=1.0)
-    traj = generate_path(filt, innov, 1.0, 5, substream(0, ROLE_PATH, 0))
-    rows = trajectory_rows(traj)
-    assert len(rows) == traj.n + 2  # t = 0 .. n+1
-    assert rows[0] == {"t": 0, "x": 0.0}
-    assert rows[1]["omega"] == float(traj.omega[0])
-    assert "epsilon" not in rows[1]  # epsilon starts at t = 2
-    assert rows[2]["epsilon"] == float(traj.epsilon[0])
-    assert rows[2]["y"] == float(traj.y[0])
-    last = rows[-1]
-    assert last["t"] == traj.n + 1
-    assert "x" not in last  # x stops at t = n
-    assert last["y"] == float(traj.y[-1])
-
-    path = write_trajectory_csv(tmp_path / "t.csv", traj)
-    lines = path.read_text().split("\n")
-    assert lines[0] == "t,omega,epsilon,eta,x,y"
-    assert len(lines) == traj.n + 4  # header + n+2 rows + trailing newline
 
 
 def test_numpy_scalars_render_as_plain_floats():
