@@ -167,7 +167,8 @@ def limit_sample_batch(p: LimitParams, m: int, reps: int, base_seed: int) -> dic
     """
     fpe = np.empty(reps)
     mse = np.empty(reps)
-    rows = _batch_rows(2 * m)
+    rows = min(_batch_rows(2 * m), reps)
+    levels = np.zeros((rows, m + 1))  # column 0 stays 0 across batches
     resampled = 0
     start = 0
     batch = 0
@@ -175,10 +176,11 @@ def limit_sample_batch(p: LimitParams, m: int, reps: int, base_seed: int) -> dic
     while start < reps:
         take = min(rows, reps - start)
         rng = substream(base_seed, ROLE_BM, batch)
-        z = rng.standard_normal((take, m, 2)) * scale
+        z = rng.standard_normal((take, m, 2))
+        z *= scale
         dwa, dwb = z[:, :, 0], z[:, :, 1]
-        wa = np.cumsum(dwa, axis=1)
-        lev = np.concatenate((np.zeros((take, 1)), wa), axis=1)
+        lev = levels[:take]
+        np.cumsum(dwa, axis=1, out=lev[:, 1:])
         q = np.einsum("ij,ij->i", lev[:, :-1], lev[:, :-1]) / m
         for r in np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]:
             for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
@@ -258,7 +260,8 @@ def estimate_constants(
     if reps < 2:
         raise ConfigError([f"reps must be >= 2, got {reps}"])
     m_fine = 2 * m
-    rows = _batch_rows(m_fine)
+    rows = min(_batch_rows(m_fine), reps)
+    levels = np.zeros((rows, m_fine + 1))  # column 0 stays 0 across batches
     sums = np.zeros(4)
     sums_sq = np.zeros(4)
     gaps = np.zeros(2)
@@ -268,10 +271,13 @@ def estimate_constants(
     while start < reps:
         take = min(rows, reps - start)
         rng = substream(base_seed, ROLE_CONSTANTS, batch)
-        dw_f = rng.standard_normal((take, m_fine)) * scale
-        lev_f = np.concatenate((np.zeros((take, 1)), np.cumsum(dw_f, axis=1)), axis=1)
+        dw_f = rng.standard_normal((take, m_fine))
+        dw_f *= scale
+        lev_f = levels[:take]
+        np.cumsum(dw_f, axis=1, out=lev_f[:, 1:])
         k1_f, k2_f = _constant_draws(lev_f, dw_f, m_fine)
-        dw_c = dw_f.reshape(take, m, 2).sum(axis=2)
+        # a length-2 axis reduction is ~10x slower than this, with equal bits
+        dw_c = dw_f[:, 0::2] + dw_f[:, 1::2]
         lev_c = lev_f[:, ::2]
         k1_c, k2_c = _constant_draws(lev_c, dw_c, m)
         draws = (k1_c, k2_c, k1_f, k2_f)

@@ -18,8 +18,10 @@ reps >= 4 (the correlation's standard error); with fewer, "all" skips
 them.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
-comparison under --strict, 2 a bad config (including a target out of its
-range, or a check the mode or the reps cannot run) or usage (--workers < 1),
+comparison under --strict, 2 a bad config (including a negative seed, a
+run whose filter's leading zero taps make every path unscoreable, a target
+out of its range, or a check the mode or the reps cannot run) or usage
+(--workers < 1),
 3 paths that cannot be scored (DegenerateRateError, or ResamplePathError
 once the resample cap is hit), 4 a worker process of the --workers pool
 died (BrokenProcessPool).

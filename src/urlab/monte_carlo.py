@@ -21,7 +21,8 @@ from . import brownian
 from .errors import ConfigError, DegenerateRateError, Validated
 from .innovations import InnovationSpec, _standardized, derived_correlation
 from .linear_process import Filter, FilterSpec, materialize_filter, stationary_burn_in
-from .streams import ROLE_PATH, substream
+# substream, the per-key reference, stays importable here for bench/layertrace.py
+from .streams import ROLE_PATH, substream, substreams  # noqa: F401
 
 STATISTICS = (
     "excess_ape",
@@ -57,6 +58,8 @@ class ExperimentConfig(Validated):
         out = []
         if self.reps < 2:
             out.append(f"reps must be >= 2, got {self.reps}")
+        if self.base_seed < 0:
+            out.append(f"base_seed must be >= 0, got {self.base_seed}")
         grid = tuple(self.n_grid)
         if not grid:
             out.append("n_grid must be non-empty")
@@ -69,12 +72,31 @@ class ExperimentConfig(Validated):
             out.append(
                 f"varsigma must be 1 (unit root) or |varsigma| < 1 (stationary), got {self.varsigma}"
             )
+        elif grid and min(grid) >= 3:
+            out += self._certain_abort(min(grid))
         unknown = [s for s in self.statistics if s not in STATISTICS]
         if unknown:
             out.append(f"unknown statistics {unknown}; menu is {STATISTICS}")
         if not self.statistics:
             out.append("statistics must name at least one entry")
         return out
+
+    def _certain_abort(self, n: int) -> list[str]:
+        """A path at n scores nothing when the filter's leading zero taps
+        keep every regressor before the final pair at exactly 0: x_1 ..
+        x_{n-2} (after any burn-in) see no innovation at all."""
+        try:
+            coeffs = materialize_filter(self.filter_spec).coeffs
+        except ConfigError as exc:
+            return exc.problems
+        zeros = int(np.flatnonzero(coeffs)[0])
+        burn = stationary_burn_in(self.varsigma)
+        if burn + n > zeros + 2:
+            return []
+        return [
+            f"n = {n} can score no prediction: with {zeros} leading zero filter taps, "
+            f"burn-in + n must exceed {zeros + 2}, got {burn + n}"
+        ]
 
     def __post_init__(self):
         if not isinstance(self.n_grid, tuple):
@@ -110,8 +132,8 @@ def _degenerate_mask(u: np.ndarray) -> np.ndarray:
 def _draws(config: ExperimentConfig, reps: np.ndarray, attempt: int, total: int) -> np.ndarray:
     """Standardized (omega, theta) draws, one keyed stream per replication."""
     z = np.empty((len(reps), total, 2))
-    for k, rep in enumerate(reps):
-        rng = substream(config.base_seed, ROLE_PATH, int(rep), attempt)
+    streams = substreams(config.base_seed, ROLE_PATH, reps, attempt)
+    for k, rng in enumerate(streams):
         z[k] = _standardized(rng, config.innovations.family, (total, 2))
     return z
 

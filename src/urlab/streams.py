@@ -5,8 +5,24 @@ index, attempt) key instead of drawing from a shared generator.  The key
 is hashed through SeedSequence, so replication ``index`` receives the
 same draws no matter which worker runs it, in what order replications
 finish, or how work is chunked.
+
+``substream`` is the definition of a key's stream.  ``substreams`` is
+the batch path for a block of indices, bit for bit equal to
+``substream`` on each key.  It runs SeedSequence's hashing (pool of 4
+uint32 words) itself: the words of base_seed and role are hashed once,
+and only the index and attempt words are mixed, in uint32 arrays over
+up to ``_BLOCK`` indices at a time.  Each replication then reseeds one
+reused PCG64DXSM by setting its state, which is what seeding from the
+SeedSequence computes.  A block with an index outside [0, 2**32), which
+SeedSequence splits into more than one word, or a negative key part,
+falls back to ``substream``.
 """
 
+from __future__ import annotations
+
+from collections.abc import Iterator
+
+import numpy as np
 from numpy.random import Generator, PCG64DXSM, SeedSequence
 
 # Series roles.  Keep values stable: they are part of the reproducibility
@@ -24,3 +40,115 @@ def substream(base_seed: int, role: int, index: int, attempt: int = 0) -> Genera
     """
     seq = SeedSequence(entropy=base_seed, spawn_key=(role, index, attempt))
     return Generator(PCG64DXSM(seq))
+
+
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hashing
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+# PCG64's 128-bit LCG multiplier: seeding steps the LCG with it even for
+# the DXSM variant, whose cheap multiplier only drives later draws.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+_BLOCK = 1024  # indices per vectorized pass; bounds the uint32 temporaries
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence
+    splits it (0 is one word)."""
+    out = [value & _MASK32]
+    value >>= 32
+    while value:
+        out.append(value & _MASK32)
+        value >>= 32
+    return out
+
+
+def _hashmix(value, hash_const: int):
+    """(hashed word, next hash constant); ``value`` is an int or a uint32 array."""
+    value = value ^ hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words: both ints or both uint32 arrays."""
+    out = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return out ^ out >> 16
+
+
+def _pool_before_index(base_seed: int, role: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and entropy hash constant once every word before
+    the index is absorbed: base_seed's words, zero-padded to the pool size
+    as for any spawn key, then role's."""
+    entropy = _words(base_seed)
+    entropy += [0] * (_POOL - len(entropy)) + _words(role)
+    pool, hash_const = [], _INIT_A
+    for word in entropy[:_POOL]:
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return tuple(pool), hash_const
+
+
+def _seed_words(base_seed: int, role: int, indices: np.ndarray, attempt: int) -> np.ndarray:
+    """(len(indices), 4) uint64: ``SeedSequence(base_seed, spawn_key=(role,
+    i, attempt)).generate_state(4, np.uint64)`` for each i < 2**32."""
+    k = len(indices)
+    prefix, hash_const = _pool_before_index(base_seed, role)
+    pool = [np.full(k, word, dtype=np.uint32) for word in prefix]
+    attempt_words = [np.full(k, word, dtype=np.uint32) for word in _words(attempt)]
+    for word in [indices.astype(np.uint32)] + attempt_words:
+        for dst in range(_POOL):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    state = np.empty((k, 2 * _POOL), dtype="<u4")
+    hash_const = _INIT_B
+    for j in range(2 * _POOL):
+        word = pool[j % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word *= hash_const
+        state[:, j] = word ^ word >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+def substreams(
+    base_seed: int, role: int, indices: np.ndarray, attempt: int = 0
+) -> Iterator[Generator]:
+    """The generators ``substream(base_seed, role, i, attempt)`` for each i
+    of ``indices``, in order and bit for bit.
+
+    One generator is reseeded for every index, so each must be used up
+    before the next one is taken.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    bitgen = PCG64DXSM(0)
+    rng = Generator(bitgen)
+    state = {"bit_generator": "PCG64DXSM", "state": None, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(indices), _BLOCK):
+        block = indices[start : start + _BLOCK]
+        if min(base_seed, role, attempt, block.min()) < 0 or block.max() > _MASK32:
+            for index in block.tolist():
+                yield substream(base_seed, role, index, attempt)
+            continue
+        for hi, lo, seq_hi, seq_lo in _seed_words(base_seed, role, block, attempt).tolist():
+            # pcg64_set_seed: state 0, step, add the seed, step
+            inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+            state["state"] = {
+                "state": (((hi << 64) | lo) + inc) * _PCG_MULT + inc & _MASK128,
+                "inc": inc,
+            }
+            bitgen.state = state
+            yield rng

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from urlab import ConfigError, ExperimentConfig, FilterSpec, InnovationSpec, monte_carlo
@@ -344,17 +345,50 @@ def test_main_exit_codes(tmp_path):
     assert main(["fpe", str(hard), "--out", str(tmp_path / "o3"), "--strict"]) == 1
 
 
-def test_unscoreable_model_exits_3_without_traceback(tmp_path, capsys):
-    # first tap 0 with n=3: no regressor can appear before the final pair
+DEGENERATE = (
+    "[filter]\nfamily = finite\ncoeffs = 0.0, 1.0\n\n[innovations]\npi = 1.0\n\n"
+    "[experiment]\nn_grid = {n}\nreps = 200\n"
+)
+
+
+def test_unscoreable_model_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # certain aborts are refused at parse, so flag every row as unscoreable
+    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: np.ones(len(u), dtype=bool))
     ini = tmp_path / "degenerate.ini"
-    ini.write_text(
-        "[filter]\nfamily = finite\ncoeffs = 0.0, 1.0\n\n[innovations]\npi = 1.0\n\n"
-        "[experiment]\nn_grid = 3\nreps = 200\n"
-    )
+    ini.write_text(FAST_RUN)
     assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: degenerate-path rate")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_certain_abort_is_a_config_error(tmp_path, capsys):
+    # first tap 0 with n=3: no regressor can appear before the final pair
+    ini = tmp_path / "degenerate.ini"
+    ini.write_text(DEGENERATE.format(n=3))
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n = 3 can score no prediction")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # one more step gives x_2 a nonzero innovation
+    ini.write_text(DEGENERATE.format(n=4))
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "setting,extra",
+    [("base_seed = -3", []), ("base_seed = 5", ["--seed", "-1"])],
+    ids=["ini", "flag"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, setting, extra):
+    ini = tmp_path / "seed.ini"
+    ini.write_text(FAST_RUN.replace("base_seed = 5", setting))
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: base_seed must be >= 0")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_ape_curve_needs_three_grid_points(tmp_path, capsys):

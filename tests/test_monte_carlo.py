@@ -47,10 +47,13 @@ def config(**kw) -> ExperimentConfig:
 
 def test_config_collects_all_problems():
     with pytest.raises(ConfigError) as exc:
-        config(reps=1, n_grid=(100, 50), statistics=("fpe_stat", "nope"), varsigma=2.0)
+        config(
+            reps=1, n_grid=(100, 50), statistics=("fpe_stat", "nope"), varsigma=2.0, base_seed=-1
+        )
     msgs = exc.value.problems
-    assert len(msgs) == 4
+    assert len(msgs) == 5
     assert any("reps" in m for m in msgs)
+    assert any("base_seed must be >= 0" in m for m in msgs)
     assert any("strictly increasing" in m for m in msgs)
     assert any("nope" in m for m in msgs)
     assert any("varsigma" in m for m in msgs)
@@ -263,15 +266,26 @@ def test_degenerate_paths_resampled_deterministically(monkeypatch):
     assert np.array_equal(a["fpe_stat"], b["fpe_stat"])
 
 
-def test_unscoreable_model_aborts():
-    # first tap 0 with n=3: no regressor can appear before the final pair
-    cfg = ExperimentConfig(
-        filter_spec=FilterSpec(family="finite", coeffs=(0.0, 1.0)),
-        innovations=FULL_CORR, beta=1.0, n_grid=(3,), reps=100,
-        base_seed=0, statistics=("fpe_stat",),
-    )
+def test_unscoreable_model_aborts(monkeypatch):
+    # certain aborts are refused at parse, so flag every row as unscoreable
+    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: np.ones(len(u), dtype=bool))
     with pytest.raises(RuntimeError, match="degenerate-path rate"):
-        sample_statistics(cfg, (3,), want_ape=False)
+        sample_statistics(config(reps=100, n_grid=(3,)), (3,), want_ape=False)
+
+
+@pytest.mark.parametrize(
+    "coeffs,varsigma,n_ok",
+    [
+        ((0.0, 1.0), 1.0, 4),  # first tap 0: x_1 is 0, x_2 is not
+        ((0.0,) * 25 + (1.0,), 0.5, 8),  # 25 zero taps against a burn-in of 20
+    ],
+)
+def test_certain_abort_refused_at_parse(coeffs, varsigma, n_ok):
+    spec = FilterSpec(family="finite", coeffs=coeffs)
+    with pytest.raises(ConfigError, match=f"n = {n_ok - 1} can score no prediction"):
+        config(filter_spec=spec, varsigma=varsigma, n_grid=(n_ok - 1, 100))
+    cols = sample_statistics(config(filter_spec=spec, varsigma=varsigma, n_grid=(n_ok,)), (n_ok,))
+    assert cols[n_ok]["resampled"][0] == 0
 
 
 # ------------------------------------------------------------- ape_slope

@@ -1,0 +1,98 @@
+"""Pinned bits: sha256 digests of engine and sampler output.
+
+The digests were taken before the batch stream seeding and the Brownian
+batch rewrites, and every later change that is meant to keep bits must
+keep them.  A change that alters bits on purpose updates a digest here
+and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from urlab import (
+    ExperimentConfig,
+    FilterSpec,
+    InnovationSpec,
+    LimitParams,
+    estimate_constants,
+    limit_sample_batch,
+    sample_statistics,
+)
+from urlab import monte_carlo
+
+
+def _columns_digest(by_n: dict) -> str:
+    h = hashlib.sha256()
+    for n in sorted(by_n):
+        for name in sorted(by_n[n]):
+            col = np.ascontiguousarray(by_n[n][name])
+            h.update(f"{n}/{name}/{col.dtype.str}/{col.shape}:".encode())
+            h.update(col.tobytes())
+    return h.hexdigest()
+
+
+def test_gaussian_unit_root_grid_with_ape():
+    # 27 taps, so n = 5 is scored in a pass of its own; 2500 reps span
+    # several stream-seeding blocks
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="geometric", a=1.0, r=0.5),
+        innovations=InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5),
+        beta=0.8, n_grid=(5, 40, 120), reps=2500, base_seed=3,
+        statistics=("fpe_stat", "excess_ape"),
+    )
+    assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
+        "bc719022d534ea73c491e5b46507469b0c091026e5dd5b606cea9bb69b182edb"
+    )
+
+
+def test_laplace_stationary():
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),
+        innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.3, family="laplace"),
+        beta=1.0, varsigma=0.5, n_grid=(50,), reps=1500, base_seed=2**40 + 1,
+        statistics=("fpe_stat", "excess_ape"),
+    )
+    assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
+        "25662f1ff1c6a83eff6eeeebc2e6013258aa7530e2844933f424365d06733e33"
+    )
+
+
+def test_uniform_with_resampled_rows(monkeypatch):
+    # flagged rows are redrawn from attempt 1, 2, ... streams
+    monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
+    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: u[:, 0] > 0.8)
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
+        innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.6, family="uniform"),
+        n_grid=(30, 60), reps=1200, base_seed=5,
+        statistics=("excess_ape",),
+    )
+    columns = sample_statistics(cfg, cfg.n_grid)
+    assert columns[30]["resampled"][0] > 0
+    assert _columns_digest(columns) == (
+        "292aab8e117bba79d33edd9b3afa4d7aae468a6ec195a3670179dd2d8f1f1aa0"
+    )
+
+
+@pytest.mark.parametrize(
+    "m,reps,digest",
+    [
+        (64, 600, "715cee64bce133519f23e9787051975bceaf651c79face91a777960736b39f14"),
+        # 1024 rows per batch at 2m = 2048: three batches, the last one short
+        (1024, 2500, "a7d6497dc878d13cf38d2338064007d70e1820ec1d2527990b42d1eea8118206"),
+    ],
+)
+def test_estimate_constants(m, reps, digest):
+    report = estimate_constants(m=m, reps=reps, base_seed=4)
+    assert hashlib.sha256(json.dumps(report.as_dict()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m,digest", [(64, "5b1f46c561911e0627b3a5788900889e5f85a4aa327b1dc8807682bd56302a70"), (1024, "519e14601d850dbda3a9b3cce75b354f08d454dd066b05365c8511c62a046ca0")])
+def test_limit_sample_batch(m, digest):
+    params = LimitParams.create(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    draws = limit_sample_batch(params, m, 2500, base_seed=8)
+    assert draws.pop("resampled") == 0
+    assert _columns_digest({m: draws}) == digest

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from urlab import streams
+from urlab.streams import ROLE_BM, ROLE_CONSTANTS, ROLE_PATH, substream, substreams
+
+WORD = 2**32
+BASE_SEEDS = [0, 7, WORD - 1, WORD, WORD + 5, 2**64, 2**64 + 3, 12 * 10**21, 2**130 + 9]
+
+
+def _assert_equal_streams(base_seed, role, indices, attempt):
+    indices = list(indices)
+    got = substreams(base_seed, role, np.array(indices, dtype=np.int64), attempt)
+    count = 0
+    for index, rng in zip(indices, got):
+        ref = substream(base_seed, role, index, attempt)
+        assert rng.bit_generator.state == ref.bit_generator.state, (base_seed, role, index)
+        # a buffered 32-bit half must not leak into the next index
+        assert rng.integers(0, WORD, 3, dtype=np.uint32).tolist() == ref.integers(
+            0, WORD, 3, dtype=np.uint32
+        ).tolist()
+        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+        count += 1
+    assert count == len(indices)
+
+
+@pytest.mark.parametrize("role", [ROLE_PATH, ROLE_BM, ROLE_CONSTANTS])
+@pytest.mark.parametrize("attempt", [0, 1, 3, WORD + 1])
+def test_batch_streams_equal_substream(role, attempt):
+    for base_seed in BASE_SEEDS:
+        _assert_equal_streams(base_seed, role, [0, 1, 2, 999, 2**31, WORD - 2, WORD - 1], attempt)
+
+
+def test_seed_words_equal_seed_sequence():
+    indices = np.array([0, 5, 2**20, WORD - 1])
+    for base_seed in BASE_SEEDS:
+        words = streams._seed_words(base_seed, 2, indices, 3)
+        for index, row in zip(indices.tolist(), words):
+            seq = np.random.SeedSequence(base_seed, spawn_key=(2, index, 3))
+            assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+
+
+def test_blocks_span_several_passes(monkeypatch):
+    monkeypatch.setattr(streams, "_BLOCK", 7)
+    _assert_equal_streams(41, ROLE_PATH, range(30), 0)
+    _assert_equal_streams(41, ROLE_PATH, [29, 3, 17, 3], 2)
+
+
+def test_keys_beyond_one_word_fall_back(monkeypatch):
+    monkeypatch.setattr(streams, "_BLOCK", 3)
+    # blocks (2**32 - 1, 2**32, 5) and (2**33 + 5, 6) need two-word indices
+    _assert_equal_streams(7, ROLE_PATH, [WORD - 1, WORD, 5, 2**33 + 5, 6, 8], 1)
+
+
+def test_negative_key_fails_as_substream_does():
+    with pytest.raises(ValueError, match="non-negative"):
+        next(substreams(-1, ROLE_PATH, np.arange(3)))
+    with pytest.raises(ValueError, match="non-negative"):
+        substream(-1, ROLE_PATH, 0)
