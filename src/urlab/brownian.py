@@ -5,6 +5,13 @@ integrals are left-endpoint Riemann/Ito sums.  Left endpoints are
 correctness-critical, not a discretization taste: midpoint or right
 sums push the self-integral to the Stratonovich value and every
 constant below drifts by a w^2 term.
+
+``estimate_constants`` (ROLE_CONSTANTS, grid 2m) and
+``limit_sample_batch`` (ROLE_BM, grid m) share one batch loop and one
+policy.  Batch b is drawn from substream(base_seed, role, b).  A path whose
+time integral Q is under the floor (for the constants, at either grid) is
+redrawn from substream(base_seed, role, path index, attempt), attempt
+1 ... 64, and counted; ResamplePathError ends the run if none clears it.
 """
 
 from __future__ import annotations
@@ -17,9 +24,8 @@ import numpy as np
 from .errors import ConfigError, ResamplePathError, Validated
 from .streams import ROLE_BM, ROLE_CONSTANTS, substream
 
-# Time integrals below this are treated as degenerate (the exact event has
-# probability zero; reaching the threshold is a float pathology, and the
-# caller should resample from a tagged substream).
+# Time integrals below this are degenerate: the exact event has probability
+# zero, so reaching the floor is a float pathology, and the path is redrawn.
 _TIME_INTEGRAL_FLOOR = 1e-12
 
 # Replacement draws tried per degenerate path.  On a sound grid the floor
@@ -29,6 +35,11 @@ _MAX_RESAMPLE_ATTEMPTS = 64
 
 # Rows per generation batch, sized so a batch stays near 16 MiB of draws.
 _BATCH_VALUES = 1 << 21
+
+# Smallest grid estimate_constants accepts.  Q at grid m is a quadratic
+# form in m - 1 Gaussians, so E[Q^-2], which K2's standard error needs, is
+# finite only when m - 1 > 4; below that the reported se means nothing.
+_MIN_CONSTANTS_GRID = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,60 +163,60 @@ def limit_sample(path: BmPath, p: LimitParams) -> dict:
     }
 
 
-def _batch_rows(m: int) -> int:
-    return max(1, _BATCH_VALUES // max(m, 1))
+def _divisor(q: np.ndarray) -> np.ndarray:
+    # rows under the floor are redrawn unread; 1 keeps them from dividing by 0
+    return np.where(q < _TIME_INTEGRAL_FLOOR, 1.0, q)
 
 
-def limit_sample_batch(p: LimitParams, m: int, reps: int, base_seed: int) -> dict:
-    """Vectorized limit_sample over ``reps`` paths.
-
-    Draws are keyed by (base_seed, ROLE_BM, batch index) with a fixed batch
-    width, so results do not depend on how the loop is scheduled.
-    Degenerate paths (time integral under the floor) are replaced from
-    attempt-tagged substreams and counted; ResamplePathError is raised
-    when a path finds no replacement in _MAX_RESAMPLE_ATTEMPTS tries.
-    """
-    fpe = np.empty(reps)
-    mse = np.empty(reps)
-    rows = min(_batch_rows(2 * m), reps)
-    levels = np.zeros((rows, m + 1))  # column 0 stays 0 across batches
-    resampled = 0
-    start = 0
-    batch = 0
+def _batches(m: int, width: int, reps: int, base_seed: int, role: int, score):
+    """Yield (start, values, redrawn) per batch of (take, m, width) draws, with
+    ``score(levels, z)`` -> (Q, values), one value column per path."""
+    rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
     scale = math.sqrt(1.0 / m)
-    while start < reps:
-        take = min(rows, reps - start)
-        rng = substream(base_seed, ROLE_BM, batch)
-        z = rng.standard_normal((take, m, 2))
+    levels = np.zeros((rows, m + 1))  # column 0 stays 0 across batches
+
+    def scored(rng, lev):
+        z = rng.standard_normal((len(lev), m, width))
         z *= scale
-        dwa, dwb = z[:, :, 0], z[:, :, 1]
-        lev = levels[:take]
-        np.cumsum(dwa, axis=1, out=lev[:, 1:])
-        q = np.einsum("ij,ij->i", lev[:, :-1], lev[:, :-1]) / m
-        for r in np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]:
+        np.cumsum(z[:, :, 0], axis=1, out=lev[:, 1:])
+        return score(lev, z)
+
+    for batch, start in enumerate(range(0, reps, rows)):
+        q, values = scored(substream(base_seed, role, batch), levels[: min(rows, reps - start)])
+        redraw = np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]
+        for r in redraw:
+            index = start + int(r)
             for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
-                sub = substream(base_seed, ROLE_BM, start + int(r), attempt)
-                z2 = sub.standard_normal((m, 2)) * scale
-                la = np.concatenate(([0.0], np.cumsum(z2[:, 0])))
-                if time_integral_sq(la) >= _TIME_INTEGRAL_FLOOR:
-                    dwa[r], dwb[r] = z2[:, 0], z2[:, 1]
-                    lev[r] = la
-                    q[r] = time_integral_sq(la)
+                q1, new = scored(substream(base_seed, role, index, attempt), np.zeros((1, m + 1)))
+                if q1[0] >= _TIME_INTEGRAL_FLOOR:
+                    values[:, r] = new[:, 0]
                     break
             else:
                 raise ResamplePathError(
-                    f"path {start + int(r)}: time integral below {_TIME_INTEGRAL_FLOOR} "
+                    f"path {index}: time integral below {_TIME_INTEGRAL_FLOOR} "
                     f"on {_MAX_RESAMPLE_ATTEMPTS} resamples"
                 )
-            resampled += 1
-        i_aa = np.einsum("ij,ij->i", lev[:, :-1], dwa)
-        i_ab = np.einsum("ij,ij->i", lev[:, :-1], dwb)
+        yield start, values, len(redraw)
+
+
+def limit_sample_batch(p: LimitParams, m: int, reps: int, base_seed: int) -> dict:
+    """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts redraws."""
+
+    def score(lev, z):
+        w = lev[:, :-1]
+        q = np.einsum("ij,ij->i", w, w) / m
+        i_aa = np.einsum("ij,ij->i", w, z[:, :, 0])
+        i_ab = np.einsum("ij,ij->i", w, z[:, :, 1])
         num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * i_ab) ** 2
-        fpe[start : start + take] = lev[:, -1] ** 2 * num / q**2
-        mse[start : start + take] = num / (p.lam**2 * q**2)
-        start += take
-        batch += 1
-    return {"fpe_limit_draw": fpe, "mse_limit_draw": mse, "resampled": resampled}
+        q_sq = _divisor(q) ** 2
+        return q, np.stack((lev[:, -1] ** 2 * num / q_sq, num / (p.lam**2 * q_sq)))
+
+    draws = np.empty((2, reps))
+    resampled = 0
+    for start, values, redrawn in _batches(m, 2, reps, base_seed, ROLE_BM, score):
+        draws[:, start : start + values.shape[1]] = values
+        resampled += redrawn
+    return {"fpe_limit_draw": draws[0], "mse_limit_draw": draws[1], "resampled": resampled}
 
 
 @dataclass(frozen=True)
@@ -255,37 +266,24 @@ def estimate_constants(
     increment pairs (exact in law), so the (m, 2m) refinement gap is a
     matched-path discretization measurement rather than two noisy runs.
     """
-    if m < 2:
-        raise ConfigError([f"grid size m must be >= 2, got {m}"])
+    if m < _MIN_CONSTANTS_GRID:
+        raise ConfigError([f"grid size m must be >= {_MIN_CONSTANTS_GRID}, got {m}"])
     if reps < 2:
         raise ConfigError([f"reps must be >= 2, got {reps}"])
     m_fine = 2 * m
-    rows = min(_batch_rows(m_fine), reps)
-    levels = np.zeros((rows, m_fine + 1))  # column 0 stays 0 across batches
-    sums = np.zeros(4)
-    sums_sq = np.zeros(4)
-    gaps = np.zeros(2)
-    start = 0
-    batch = 0
-    scale = math.sqrt(1.0 / m_fine)
-    while start < reps:
-        take = min(rows, reps - start)
-        rng = substream(base_seed, ROLE_CONSTANTS, batch)
-        dw_f = rng.standard_normal((take, m_fine))
-        dw_f *= scale
-        lev_f = levels[:take]
-        np.cumsum(dw_f, axis=1, out=lev_f[:, 1:])
-        k1_f, k2_f = _constant_draws(lev_f, dw_f, m_fine)
+
+    def score(lev_f, z):
+        dw_f = z[:, :, 0]
+        q_f, k1_f, k2_f = _constant_draws(lev_f, dw_f, m_fine)
         # a length-2 axis reduction is ~10x slower than this, with equal bits
-        dw_c = dw_f[:, 0::2] + dw_f[:, 1::2]
-        lev_c = lev_f[:, ::2]
-        k1_c, k2_c = _constant_draws(lev_c, dw_c, m)
-        draws = (k1_c, k2_c, k1_f, k2_f)
-        sums += np.array([d.sum() for d in draws])
-        sums_sq += np.array([(d**2).sum() for d in draws])
-        gaps += np.array([(k1_c - k1_f).sum(), (k2_c - k2_f).sum()])
-        start += take
-        batch += 1
+        q_c, k1_c, k2_c = _constant_draws(lev_f[:, ::2], dw_f[:, 0::2] + dw_f[:, 1::2], m)
+        return np.minimum(q_c, q_f), np.stack((k1_c, k2_c, k1_f, k2_f))
+
+    sums = sums_sq = gaps = 0.0
+    for _, draws, _ in _batches(m_fine, 1, reps, base_seed, ROLE_CONSTANTS, score):
+        sums += draws.sum(axis=1)
+        sums_sq += (draws**2).sum(axis=1)
+        gaps += (draws[:2] - draws[2:]).sum(axis=1)
     means = sums / reps
     variances = np.maximum(sums_sq / reps - means**2, 0.0)
     ses = np.sqrt(variances / (reps - 1))
@@ -305,12 +303,13 @@ def estimate_constants(
     )
 
 
-def _constant_draws(lev: np.ndarray, dw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _constant_draws(lev: np.ndarray, dw: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """(Q, K1 draw, K2 draw) per path at grid m."""
     w = lev[:, :-1]
     q = np.einsum("ij,ij->i", w, w) / m
-    q = np.maximum(q, _TIME_INTEGRAL_FLOOR)  # guards the astronomically rare zero path
     i_self = np.einsum("ij,ij->i", w, dw)
-    return (i_self / q) ** 2, 1.0 / q
+    d = _divisor(q)
+    return q, (i_self / d) ** 2, 1.0 / d
 
 
 def mse_limit_formula(

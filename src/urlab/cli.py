@@ -2,16 +2,20 @@
 
 Experiments are described by an INI file with sections [filter],
 [innovations], [model], [experiment] and an optional [targets] section
-holding pass/fail thresholds.  Thresholds default to the canonical
-two-digit constants' own rounding plus a 4x MC-SE band, so a bare config
-is already an acceptance run.
+holding pass/fail thresholds.  Each section's keys are the fields of one
+dataclass (_FORMAT), typed and defaulted by them.  Thresholds default to
+the canonical two-digit constants' own rounding plus a 4x MC-SE band, so
+a bare config is already an acceptance run.  [experiment] statistics is
+read only by monte_carlo.run (and sample_statistics without want_ape);
+the subcommands ignore it, since dispatch draws APE exactly when
+ape-curve runs.
 
 Most checks compare against integrated-regressor limits and require
 varsigma = 1; the stationary contrast requires |varsigma| < 1.  The "all"
 subcommand runs whichever checks the config's mode supports and reports
 the others as skipped.
 
-The [targets] sizes are checked when the config is parsed: 1 <= m_log2 <= 20,
+The [targets] sizes are checked when the config is parsed: 3 <= m_log2 <= 20,
 bm_reps >= 2 and limit_reps >= 1000.  limit-check also needs reps >= 1000
 finite-n draws (the KS distance's floor on each side) and cross-moment
 reps >= 4 (the correlation's standard error); with fewer, "all" skips
@@ -23,8 +27,9 @@ run whose filter's leading zero taps make every path unscoreable, a target
 out of its range, or a check the mode or the reps cannot run) or usage
 (--workers < 1),
 3 paths that cannot be scored (DegenerateRateError, or ResamplePathError
-once the resample cap is hit), 4 a worker process of the --workers pool
-died (BrokenProcessPool).
+when a Brownian path of constants or limit-check finds no replacement
+within the resample cap), 4 a worker process of the --workers pool died
+(BrokenProcessPool).
 """
 
 from __future__ import annotations
@@ -55,9 +60,6 @@ SUBCOMMANDS = (
     "all",
 )
 
-_SECTIONS = ("filter", "innovations", "model", "experiment", "targets")
-
-
 @dataclass(frozen=True)
 class Targets(Validated):
     """Pass/fail policy: absolute floors, SE multiplier, and the sizes of
@@ -78,11 +80,12 @@ class Targets(Validated):
     def problems(self) -> list[str]:
         """Every violated constraint, empty when the targets are valid."""
         out = []
-        # m = 1 leaves every Brownian path degenerate, and a path drawn at
-        # the refined grid 2m must fit one batch of brownian._BATCH_VALUES
+        # estimate_constants' grid floor, and a path drawn at the refined
+        # grid 2m must fit one batch of brownian._BATCH_VALUES
+        m_log2_min = brownian._MIN_CONSTANTS_GRID.bit_length() - 1
         m_log2_max = brownian._BATCH_VALUES.bit_length() - 2
-        if not 1 <= self.m_log2 <= m_log2_max:
-            out.append(f"m_log2 must be >= 1 and <= {m_log2_max}, got {self.m_log2}")
+        if not m_log2_min <= self.m_log2 <= m_log2_max:
+            out.append(f"m_log2 must be >= {m_log2_min} and <= {m_log2_max}, got {self.m_log2}")
         # the KS distance needs KS_MIN_SAMPLES draws per side
         floors = {"bm_reps": 2, "limit_reps": monte_carlo.KS_MIN_SAMPLES}
         return out + [
@@ -104,31 +107,6 @@ class RunManifest:
     artifacts: dict[str, str]
 
 
-class _Section:
-    """One config section with typed, error-collecting key access."""
-
-    def __init__(self, name: str, raw: dict, problems: list):
-        self.name = name
-        self.raw = dict(raw)
-        self.problems = problems
-
-    def take(self, key: str, kind, default=None):
-        if key not in self.raw:
-            return default
-        text = self.raw.pop(key).strip()
-        try:
-            return kind(text)
-        except (TypeError, ValueError):
-            self.problems.append(
-                f"[{self.name}] {key}: cannot parse {text!r} as {kind.__name__}"
-            )
-            return default
-
-    def finish(self):
-        for key in self.raw:
-            self.problems.append(f"[{self.name}] unknown key {key!r}")
-
-
 def _list_of(kind):
     """Parser for a comma- or space-separated list of ``kind`` values."""
 
@@ -137,6 +115,52 @@ def _list_of(kind):
 
     parse.__name__ = f"list of {kind.__name__}"
     return parse
+
+
+# Parser of a key's INI text by its field's annotation, "| None" stripped.
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": _list_of(float),
+    "tuple[int, ...]": _list_of(int),
+    "tuple[str, ...]": _list_of(str),
+}
+
+# The INI format: each section's dataclass and its keys (None: every
+# field).  A key is parsed by its field's annotation and defaults to the
+# field's default.
+_FORMAT = {
+    "filter": (FilterSpec, None),
+    "innovations": (InnovationSpec, None),
+    "model": (ExperimentConfig, ("beta", "varsigma")),
+    "experiment": (ExperimentConfig, ("n_grid", "reps", "base_seed", "statistics", "out_dir")),
+    "targets": (Targets, None),
+}
+
+
+def _keys(section: str) -> list:
+    cls, names = _FORMAT[section]
+    return [f for f in fields(cls) if names is None or f.name in names]
+
+
+def _read(section: str, raw: dict, problems: list) -> dict:
+    """One section's values by key; unknown keys and unparseable values
+    are added to ``problems``, and an unparseable value takes the default."""
+    raw = dict(raw)
+    values = {}
+    for f in _keys(section):
+        values[f.name] = f.default
+        if f.name not in raw:
+            continue
+        text = raw.pop(f.name).strip()
+        parse = _PARSERS[f.type.removesuffix(" | None")]
+        try:
+            values[f.name] = parse(text)
+        except (TypeError, ValueError):
+            problems.append(f"[{section}] {f.name}: cannot parse {text!r} as {parse.__name__}")
+    problems.extend(f"[{section}] unknown key {key!r}" for key in raw)
+    return values
 
 
 def _build(cls, problems: list, **kwargs):
@@ -165,58 +189,14 @@ def load_run(text: str) -> tuple[ExperimentConfig, Targets]:
 
     problems: list[str] = []
     for name in parser.sections():
-        if name not in _SECTIONS:
-            problems.append(f"unknown section [{name}]; sections are {_SECTIONS}")
-
-    def section(name: str) -> _Section:
-        raw = dict(parser[name]) if parser.has_section(name) else {}
-        return _Section(name, raw, problems)
-
-    filt = section("filter")
-    fkwargs = dict(
-        family=filt.take("family", str, "finite"),
-        coeffs=filt.take("coeffs", _list_of(float)),
-        a=filt.take("a", float),
-        r=filt.take("r", float),
-        p=filt.take("p", float),
-        truncation_lag=filt.take("truncation_lag", int, 0),
-        tail_tol=filt.take("tail_tol", float, 1e-8),
-    )
-    filt.finish()
-
-    innov = section("innovations")
-    ikwargs = dict(
-        sigma_omega_sq=innov.take("sigma_omega_sq", float, 1.0),
-        sigma_sq=innov.take("sigma_sq", float, 1.0),
-        pi=innov.take("pi", float, 0.0),
-        family=innov.take("family", str, "gaussian"),
-    )
-    innov.finish()
-
-    model = section("model")
-    beta = model.take("beta", float, 1.0)
-    varsigma = model.take("varsigma", float, 1.0)
-    model.finish()
-
-    exp = section("experiment")
-    ekwargs = dict(
-        n_grid=exp.take("n_grid", _list_of(int), (500,)),
-        reps=exp.take("reps", int, 1000),
-        base_seed=exp.take("base_seed", int, 0),
-        statistics=exp.take("statistics", _list_of(str), ("fpe_stat",)),
-        out_dir=exp.take("out_dir", str),
-    )
-    exp.finish()
-
-    tgt = section("targets")
-    tkwargs = {}
-    for f in fields(Targets):
-        kind = int if f.type == "int" else float
-        tkwargs[f.name] = tgt.take(f.name, kind, f.default)
-    tgt.finish()
-
-    filter_spec = _build(FilterSpec, problems, **fkwargs)
-    innovations = _build(InnovationSpec, problems, **ikwargs)
+        if name not in _FORMAT:
+            problems.append(f"unknown section [{name}]; sections are {tuple(_FORMAT)}")
+    values = {
+        name: _read(name, parser[name] if parser.has_section(name) else {}, problems)
+        for name in _FORMAT
+    }
+    filter_spec = _build(FilterSpec, problems, **values["filter"])
+    innovations = _build(InnovationSpec, problems, **values["innovations"])
     # probe stand-ins keep experiment-level validation running even when an
     # earlier section failed, so one parse reports everything at once
     config = _build(
@@ -224,11 +204,10 @@ def load_run(text: str) -> tuple[ExperimentConfig, Targets]:
         problems,
         filter_spec=filter_spec or FilterSpec(family="finite", coeffs=(1.0,)),
         innovations=innovations or InnovationSpec(),
-        beta=beta,
-        varsigma=varsigma,
-        **ekwargs,
+        **values["model"],
+        **values["experiment"],
     )
-    targets = _build(Targets, problems, **tkwargs)
+    targets = _build(Targets, problems, **values["targets"])
     if problems:
         raise ConfigError(problems)
     return config, targets
@@ -244,18 +223,19 @@ def serialize_config(config: ExperimentConfig, targets: Targets | None = None) -
             return repr(value)
         return str(value)
 
-    def section(name, obj, keys=None):
-        values = ((key, getattr(obj, key)) for key in keys or [f.name for f in fields(obj)])
-        return [f"[{name}]"] + [f"{k} = {fmt(v)}" for k, v in values if v is not None]
-
+    objects = {
+        "filter": config.filter_spec,
+        "innovations": config.innovations,
+        "model": config,
+        "experiment": config,
+        "targets": targets,
+    }
     parts = [
-        section("filter", config.filter_spec),
-        section("innovations", config.innovations),
-        section("model", config, ("beta", "varsigma")),
-        section("experiment", config, ("n_grid", "reps", "base_seed", "statistics", "out_dir")),
+        [f"[{name}]"]
+        + [f"{f.name} = {fmt(v)}" for f in _keys(name) if (v := getattr(obj, f.name)) is not None]
+        for name, obj in objects.items()
+        if obj is not None
     ]
-    if targets is not None:
-        parts.append(section("targets", targets))
     return "\n\n".join("\n".join(lines) for lines in parts) + "\n"
 
 

@@ -22,7 +22,7 @@ from urlab import (
     time_integral_sq,
 )
 from urlab import brownian
-from urlab.streams import ROLE_BM, substream
+from urlab.streams import ROLE_BM, ROLE_CONSTANTS, substream
 
 # E[1 / int_0^1 W^2] via the Laplace transform E e^{-sQ} = cosh(sqrt(2s))^{-1/2},
 # integrated in closed quadrature (substitution u = sqrt(2s)):
@@ -164,6 +164,56 @@ def test_resampling_is_bounded(monkeypatch):
         limit_sample_batch(unit_params(), 16, 4, base_seed=0)
 
 
+def test_both_samplers_redraw_degenerate_paths_alike(monkeypatch):
+    # a raised floor flags a few of 200 paths at m = 16 in each sampler; a
+    # flagged path is replaced by the first of its (index, attempt) streams
+    # that clears the floor
+    floor, m, reps, seed = 0.04, 16, 200, 3
+    monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
+    p = LimitParams.create(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+
+    out = limit_sample_batch(p, m, reps, base_seed=seed)
+    z = substream(seed, ROLE_BM, 0).standard_normal((reps, m, 2)) * math.sqrt(1.0 / m)
+    redrawn = 0
+    for i in range(reps):
+        wa, wb = (np.concatenate(([0.0], np.cumsum(z[i, :, j]))) for j in (0, 1))
+        path, attempt = BmPath(m, z[i, :, 0], z[i, :, 1], wa, wb), 0
+        while time_integral_sq(path.wa) < floor:
+            attempt += 1
+            assert attempt <= 64
+            path = BmPath.generate(m, substream(seed, ROLE_BM, i, attempt))
+        redrawn += attempt > 0
+        want = limit_sample(path, p)
+        for key in ("fpe_limit_draw", "mse_limit_draw"):
+            assert out[key][i] == pytest.approx(want[key], rel=1e-12)
+    assert out["resampled"] == redrawn > 0
+
+    # constants: a path is redrawn when Q at either grid is under the floor
+    def draws(dw):
+        lev_f = np.concatenate(([0.0], np.cumsum(dw)))
+        grids = ((lev_f[::2], dw[0::2] + dw[1::2]), (lev_f, dw))
+        qs = [time_integral_sq(lev) for lev, _ in grids]
+        ks = [(ito_integral(lev, inc) / q) ** 2 for (lev, inc), q in zip(grids, qs)]
+        return min(qs), (ks[0], 1.0 / qs[0], ks[1], 1.0 / qs[1])
+
+    report = estimate_constants(m=m, reps=reps, base_seed=seed)
+    dw = substream(seed, ROLE_CONSTANTS, 0).standard_normal((reps, 2 * m)) * math.sqrt(0.5 / m)
+    rows, redrawn = [], 0
+    for i in range(reps):
+        (q, row), attempt = draws(dw[i]), 0
+        while q < floor:
+            attempt += 1
+            assert attempt <= 64
+            rng = substream(seed, ROLE_CONSTANTS, i, attempt)
+            q, row = draws(rng.standard_normal(2 * m) * math.sqrt(0.5 / m))
+        redrawn += attempt > 0
+        rows.append(row)
+    assert redrawn > 0
+    got = (report.k1, report.k2, report.k1_refined, report.k2_refined)
+    for est, want in zip(got, np.mean(rows, axis=0)):
+        assert est.value == pytest.approx(want, rel=1e-12)
+
+
 def test_fpe_draw_mean_near_two_sigma_sq():
     p = unit_params()
     draws = limit_sample_batch(p, 256, 40_000, base_seed=4)["fpe_limit_draw"]
@@ -224,6 +274,8 @@ def test_constants_report_shape():
 def test_estimate_constants_validation():
     with pytest.raises(ConfigError):
         estimate_constants(m=1, reps=100)
+    with pytest.raises(ConfigError, match="m must be >= 8"):
+        estimate_constants(m=4, reps=100)
     with pytest.raises(ConfigError):
         estimate_constants(m=64, reps=1)
 

@@ -272,6 +272,8 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     [
         ("limit-check", "limit_reps = 10"),
         ("all", "m_log2 = 0"),
+        ("constants", "m_log2 = 1"),
+        ("constants", "m_log2 = 2"),
         ("all", "bm_reps = 1"),
         ("all", "m_log2 = 21"),
     ],
