@@ -15,12 +15,18 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import signal
 
 from . import brownian
 from .errors import ConfigError, DegenerateRateError, Validated
 from .innovations import InnovationSpec, _standardized, derived_correlation
-from .linear_process import Filter, FilterSpec, materialize_filter, stationary_burn_in
+from .linear_process import (
+    Filter,
+    FilterSpec,
+    ar1_rows,
+    fir_rows,
+    materialize_filter,
+    stationary_burn_in,
+)
 # substream, the per-key reference, stays importable here for bench/layertrace.py
 from .streams import ROLE_PATH, substream, substreams  # noqa: F401
 
@@ -38,6 +44,17 @@ _ROW_VALUES = 1 << 22  # float budget per generation batch
 MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
 CORR_MIN_REPS = 4  # cross_moment's corr_se divides by sqrt(reps - 3)
+
+
+def __getattr__(name):
+    # scipy.signal, which the engine no longer calls, stays reachable here
+    # for bench/layertrace.py; importing it only when asked for keeps its
+    # slow import off urlab's start-up
+    if name == "signal":
+        from scipy import signal
+
+        return signal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -162,12 +179,12 @@ def _path_columns(
     om = s_om * z[:, :, 0]
     eps = rho * om + s_th * z[:, :, 1]
     del z
-    xs = signal.lfilter(filt_coeffs, [1.0], om[:, :-1], axis=1)  # eta
+    xs = fir_rows(filt_coeffs, om[:, :-1])  # eta
     del om
     if varsigma == 1.0:
         xs = np.cumsum(xs, axis=1, out=xs)
     else:
-        xs = signal.lfilter([1.0], [1.0, -varsigma], xs, axis=1)
+        xs = ar1_rows(xs, varsigma)
     n_max = grid[-1]
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
@@ -232,9 +249,9 @@ def _chunk_worker(
     rho, sigma_theta_sq = derived_correlation(config.innovations)
     scales = (math.sqrt(config.innovations.sigma_omega_sq), rho, math.sqrt(sigma_theta_sq))
     # draws fill in sequence and the FIR, cumsum and AR recursions are causal,
-    # so a path at n is a prefix of the path at n_max; but scipy's FIR lfilter
-    # (np.convolve) sums in another order once the input is no longer than
-    # the taps, so such a short n gets a pass of its own
+    # so a path at n is a prefix of the path at n_max; but the FIR's per-row
+    # np.convolve swaps its operands, and so sums in another order, once the
+    # row is no longer than the taps, so such a short n gets a pass of its own
     passes = [(n,) for n in grid[:-1] if burn + n <= len(filt.coeffs)]
     passes.append(grid[len(passes):])
 

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import signal, special
 
+import urlab
 from urlab import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +22,7 @@ from urlab import (
     sample_statistics,
     stationary_burn_in,
 )
+from urlab.linear_process import ar1_rows, fir_rows
 from urlab.streams import ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
@@ -196,6 +203,85 @@ def test_reconstruction_property(coeffs, seed):
     nmat, smat = decompose(traj, filt)
     scale = max(1.0, float(np.max(np.abs(traj.x))))
     assert np.max(np.abs(nmat - smat - traj.x[1:])) <= 1e-10 * scale
+
+
+# ------------------------------------------------------------ row filters
+
+def _rows_with_zeros(rows, width, seed):
+    """Gaussian rows with exact +0.0 and -0.0 entries mixed in."""
+    x = np.random.default_rng(seed).standard_normal((rows, width))
+    x[0, ::3] = 0.0
+    x[1, 1::4] = -0.0
+    if width > 2:
+        x[-1, :2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("taps", [1, 2, 3, 27, 40])
+@pytest.mark.parametrize("width", [1, 2, 26, 27, 28, 39, 41, 300])
+def test_fir_rows_match_lfilter_bit_for_bit(taps, width):
+    coeffs = np.random.default_rng(taps).standard_normal(taps)
+    coeffs[-1] = -0.5 if taps > 1 else -1.5  # a negative tap signs zero products
+    # a strided view, as the engine passes omega without its last column
+    x = _rows_with_zeros(5, width + 1, seed=width)[:, :-1]
+    want = signal.lfilter(coeffs, [1.0], x, axis=1)
+    got = fir_rows(coeffs, x)
+    assert got.shape == want.shape
+    # tobytes compares every bit, the sign of each zero included
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    # scipy's buffer layout, which keeps peak RSS where it was
+    assert got.base.shape == (5, width + taps - 1)
+
+
+@pytest.mark.parametrize("varsigma", [0.5, -0.9, 0.0])
+@pytest.mark.parametrize("width", [1, 2, 50, 333])
+def test_ar1_rows_match_lfilter(varsigma, width):
+    x = _rows_with_zeros(5, width, seed=7)
+    want = signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)
+    got = ar1_rows(x.copy(), varsigma)
+    np.testing.assert_array_equal(got, want)
+    if varsigma > 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # equal by value: scipy's state update can sign an exact zero otherwise
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def test_ar1_rows_works_in_place():
+    x = np.arange(12.0).reshape(3, 4)
+    view = x[:, 1:]
+    assert ar1_rows(view, 0.5) is view
+    np.testing.assert_array_equal(x[0], [0.0, 1.0, 2.5, 4.25])
+
+
+# ---------------------------------------------------------- import path
+
+_IMPORT_PROBE = """
+import sys
+import urlab, urlab.cli
+from urlab import cli, materialize_filter
+from urlab.linear_process import FilterSpec
+
+config, _ = cli.load_run(open(sys.argv[1], encoding="utf-8").read())
+materialize_filter(config.filter_spec)
+materialize_filter(FilterSpec(family="finite", coeffs=(1.0, 0.5)))
+assert "scipy.signal" not in sys.modules, "scipy.signal"
+assert "scipy.special" not in sys.modules, "scipy.special"
+materialize_filter(FilterSpec(family="polynomial", a=1.0, p=3.0))
+assert "scipy.special" in sys.modules
+assert "scipy.signal" not in sys.modules
+"""
+
+
+def test_start_up_imports_no_scipy_until_a_polynomial_filter():
+    src = str(Path(urlab.__file__).resolve().parents[1])
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "readme.ini"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(config)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------- diagnostics
