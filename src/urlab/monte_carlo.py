@@ -47,9 +47,10 @@ CORR_MIN_REPS = 4  # cross_moment's corr_se divides by sqrt(reps - 3)
 
 
 def __getattr__(name):
-    # scipy.signal, which the engine no longer calls, stays reachable here
-    # for bench/layertrace.py; importing it only when asked for keeps its
-    # slow import off urlab's start-up
+    # scipy.signal, which the engine calls only through ar1_rows on long
+    # stationary rows, stays reachable here for bench/layertrace.py;
+    # importing it only when asked for keeps its slow import off urlab's
+    # start-up
     if name == "signal":
         from scipy import signal
 

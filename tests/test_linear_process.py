@@ -22,7 +22,7 @@ from urlab import (
     sample_statistics,
     stationary_burn_in,
 )
-from urlab.linear_process import ar1_rows, fir_rows
+from urlab.linear_process import _AR_LOOP_MAX_WIDTH, ar1_rows, fir_rows
 from urlab.streams import ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
@@ -234,7 +234,7 @@ def test_fir_rows_match_lfilter_bit_for_bit(taps, width):
 
 
 @pytest.mark.parametrize("varsigma", [0.5, -0.9, 0.0])
-@pytest.mark.parametrize("width", [1, 2, 50, 333])
+@pytest.mark.parametrize("width", [1, 2, 50, 333, _AR_LOOP_MAX_WIDTH, _AR_LOOP_MAX_WIDTH + 1])
 def test_ar1_rows_match_lfilter(varsigma, width):
     x = _rows_with_zeros(5, width, seed=7)
     want = signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)
@@ -261,11 +261,13 @@ _IMPORT_PROBE = """
 import sys
 import urlab, urlab.cli
 from urlab import cli, materialize_filter
-from urlab.linear_process import FilterSpec
+import numpy as np
+from urlab.linear_process import FilterSpec, ar1_rows
 
 config, _ = cli.load_run(open(sys.argv[1], encoding="utf-8").read())
 materialize_filter(config.filter_spec)
 materialize_filter(FilterSpec(family="finite", coeffs=(1.0, 0.5)))
+ar1_rows(np.ones((4, 70)), 0.5)  # short stationary rows
 assert "scipy.signal" not in sys.modules, "scipy.signal"
 assert "scipy.special" not in sys.modules, "scipy.special"
 materialize_filter(FilterSpec(family="polynomial", a=1.0, p=3.0))

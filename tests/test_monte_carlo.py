@@ -22,6 +22,7 @@ from urlab import (
     stationary_comparison,
 )
 from urlab import monte_carlo
+from urlab.linear_process import _AR_LOOP_MAX_WIDTH, stationary_burn_in
 from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
 
@@ -153,6 +154,16 @@ def test_grid_points_equal_single_point_bits(filter_spec, innov, varsigma, want_
         n_grid=(5, 20, 60, 300), reps=150, base_seed=11,
     )
     _assert_grid_matches_points(cfg, want_ape=want_ape)
+
+
+@pytest.mark.parametrize("varsigma", [0.5, -0.9])
+def test_grid_points_equal_single_point_bits_across_the_ar_switch(varsigma):
+    # the grid's pass integrates with scipy's lfilter, n = 60 alone with the
+    # numpy time loop
+    n_max = _AR_LOOP_MAX_WIDTH + 50
+    assert stationary_burn_in(varsigma) + 60 <= _AR_LOOP_MAX_WIDTH
+    cfg = config(reps=40, n_grid=(60, n_max), varsigma=varsigma, base_seed=3)
+    _assert_grid_matches_points(cfg, want_ape=True)
 
 
 def test_grid_points_equal_single_point_bits_in_a_pool(monkeypatch):
