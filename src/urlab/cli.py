@@ -10,21 +10,20 @@ read only by monte_carlo.run (and sample_statistics without want_ape);
 the subcommands ignore it, since dispatch draws APE exactly when
 ape-curve runs.
 
-Most checks compare against integrated-regressor limits and require
-varsigma = 1; the stationary contrast requires |varsigma| < 1.  The "all"
-subcommand runs whichever checks the config's mode supports and reports
-the others as skipped.
+Each finite-n check's needs are declared once, in monte_carlo.NEEDS:
+stationary needs |varsigma| < 1 and the others varsigma = 1 (the limits
+they compare against), limit-check reps >= 1000 (the KS distance's floor
+on each side), cross-moment reps >= 4 (the correlation's standard error)
+and ape-curve >= 3 n_grid points.  Run alone, such a check refuses the
+config; "all" reports it as skipped.
 
 The [targets] sizes are checked when the config is parsed: 3 <= m_log2 <= 20,
-bm_reps >= 2 and limit_reps >= 1000.  limit-check also needs reps >= 1000
-finite-n draws (the KS distance's floor on each side) and cross-moment
-reps >= 4 (the correlation's standard error); with fewer, "all" skips
-them.
+bm_reps >= 2 and limit_reps >= 1000, and every float must be finite.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
 comparison under --strict, 2 a bad config (including a negative seed, a
 run whose filter's leading zero taps make every path unscoreable, a target
-out of its range, or a check the mode or the reps cannot run) or usage
+out of its range, or a check its NEEDS entry refuses) or usage
 (--workers < 1),
 3 paths that cannot be scored (DegenerateRateError, or ResamplePathError
 when a Brownian path of constants or limit-check finds no replacement
@@ -40,7 +39,7 @@ import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 from . import brownian, monte_carlo, reporting
@@ -48,17 +47,6 @@ from .errors import ConfigError, DegenerateRateError, ResamplePathError, Validat
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
 from .monte_carlo import ExperimentConfig
-
-SUBCOMMANDS = (
-    "fpe",
-    "ape-curve",
-    "mse",
-    "constants",
-    "cross-moment",
-    "stationary",
-    "limit-check",
-    "all",
-)
 
 @dataclass(frozen=True)
 class Targets(Validated):
@@ -239,13 +227,16 @@ def serialize_config(config: ExperimentConfig, targets: Targets | None = None) -
     return "\n\n".join("\n".join(lines) for lines in parts) + "\n"
 
 
-def _row(name: str, estimate: float, target: float, band: float) -> dict:
+def _row(
+    name: str, estimate: float, target: float, band: float, passed: bool | None = None
+) -> dict:
+    """One table row; ``passed`` defaults to |estimate - target| <= band."""
     return {
         "check": name,
         "estimate": estimate,
         "target": target,
         "band": band,
-        "passed": bool(abs(estimate - target) <= band),
+        "passed": bool(abs(estimate - target) <= band if passed is None else passed),
     }
 
 
@@ -253,29 +244,9 @@ def _band(floor: float, se: float | None, mult: float) -> float:
     return max(floor, mult * se) if se else floor
 
 
-def _require_unit_root(config, name):
-    if config.varsigma != 1.0:
-        raise ConfigError(
-            [f"{name} compares against integrated-regressor limits; set varsigma = 1"]
-        )
-
-
-def _require_reps(config, name, floor, what):
-    if config.reps < floor:
-        raise ConfigError([f"{name} needs reps >= {floor} {what}, got {config.reps}"])
-
-
-def _require_ape_grid(config):
-    _require_unit_root(config, "ape-curve")
-    if len(config.n_grid) < 3:
-        raise ConfigError(
-            [f"ape-curve needs n_grid with >= 3 points to fit a slope, got {len(config.n_grid)}"]
-        )
-
-
 def _grid_summaries(config, statistic, columns):
     return [
-        monte_carlo.summarize(config, statistic, n, columns(n)[statistic])
+        monte_carlo.summarize(config, statistic, n, columns[n][statistic])
         for n in config.n_grid
     ]
 
@@ -288,7 +259,6 @@ def _grid_rows(summaries, target, floor, se_mult):
 
 
 def _run_fpe(config, targets, columns):
-    _require_unit_root(config, "fpe")
     summaries = _grid_summaries(config, "fpe_stat", columns)
     target = monte_carlo.limit_target(config, "fpe_stat", config.n_grid[-1])
     rows = _grid_rows(summaries, target, targets.fpe_floor, targets.se_mult)
@@ -301,7 +271,6 @@ def _run_fpe(config, targets, columns):
 
 
 def _run_ape(config, targets, columns):
-    _require_ape_grid(config)
     summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
     # the paper's claim: APE grows per log n by the FPE constant
@@ -321,7 +290,6 @@ def _run_ape(config, targets, columns):
 
 
 def _run_mse(config, targets, columns):
-    _require_unit_root(config, "mse")
     summaries = _grid_summaries(config, "norm_est_sq", columns)
     target = monte_carlo.limit_target(config, "norm_est_sq", config.n_grid[-1])
     rows = _grid_rows(summaries, target, targets.mse_floor, targets.se_mult)
@@ -347,14 +315,13 @@ def _run_constants(config, targets, columns):
 
 
 def _run_cross(config, targets, columns):
-    _require_unit_root(config, "cross-moment")
-    _require_reps(config, "cross-moment", monte_carlo.CORR_MIN_REPS, "for the correlation's se")
     n = config.n_grid[-1]
-    out = monte_carlo.cross_moment_from(columns(n), n)
+    out = monte_carlo.cross_moment_from(columns[n], n)
     target = partial(monte_carlo.limit_target, config, n=n)
     joint_target = target("fpe_stat")
     # lambda^2 times the MSE limit is K2 sigma^2 + (K1 - K2) rho^2 sigma_omega^2
     prod_target = target("x_n_sq_over_n") * target("norm_est_sq")
+    corr_band = targets.se_mult * out["corr_se"]
     rows = [
         _row(
             "joint moment",
@@ -368,26 +335,22 @@ def _run_cross(config, targets, columns):
             prod_target,
             _band(targets.mse_floor, out["product_se"], targets.se_mult),
         ),
-        # sign test, not a band test: pass means the estimate sits below
-        # -band, so the usual |estimate - target| <= band rule is overridden
+        # sign test, not a band test: pass means the estimate is negative
+        # and further than band from 0
         _row(
             "correlation (pass: below -band)",
             out["corr"],
             0.0,
-            targets.se_mult * out["corr_se"],
+            corr_band,
+            passed=out["corr"] < 0.0 and abs(out["corr"]) > corr_band,
         ),
     ]
-    rows[-1]["passed"] = bool(
-        out["corr"] < 0.0 and abs(out["corr"]) > targets.se_mult * out["corr_se"]
-    )
     return rows, all(r["passed"] for r in rows), {"cross_moment.json": out}
 
 
 def _run_stationary(config, targets, columns):
-    if not abs(config.varsigma) < 1.0:
-        raise ConfigError(["stationary compares against stationary limits; set |varsigma| < 1"])
     n = config.n_grid[-1]
-    out = monte_carlo.stationary_comparison_from(columns(n), n)
+    out = monte_carlo.stationary_comparison_from(columns[n], n)
     sigma_sq, floor, mult = config.innovations.sigma_sq, targets.stationary_floor, targets.se_mult
     rows = [
         _row(label, out[key], sigma_sq, _band(floor, out[f"{key}_se"], mult))
@@ -398,15 +361,13 @@ def _run_stationary(config, targets, columns):
 
 
 def _run_limit_check(config, targets, columns):
-    _require_unit_root(config, "limit-check")
-    _require_reps(config, "limit-check", monte_carlo.KS_MIN_SAMPLES, "finite-n draws")
     n = config.n_grid[-1]
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     draws = brownian.limit_sample_batch(
         params, 1 << targets.m_log2, targets.limit_reps, config.base_seed
     )
-    ks = monte_carlo.limit_distribution_check(columns(n)["fpe_stat"], draws["fpe_limit_draw"])
+    ks = monte_carlo.limit_distribution_check(columns[n]["fpe_stat"], draws["fpe_limit_draw"])
     rows = [_row(f"KS(finite n={n}, limit law)", ks, 0.0, targets.ks_max)]
     files = {
         "limit_check.json": {
@@ -421,8 +382,8 @@ def _run_limit_check(config, targets, columns):
     return rows, rows[0]["passed"], files
 
 
-# Each handler maps (config, targets, columns) to (rows, passed, {file name:
-# payload}) and writes nothing; dispatch writes every file.
+# Each handler maps (config, targets, {n: columns}) to (rows, passed, {file
+# name: payload}) and writes nothing; dispatch writes every file.
 _HANDLERS = {
     "fpe": _run_fpe,
     "ape-curve": _run_ape,
@@ -432,6 +393,8 @@ _HANDLERS = {
     "stationary": _run_stationary,
     "limit-check": _run_limit_check,
 }
+
+SUBCOMMANDS = (*_HANDLERS, "all")
 
 
 def _print_rows(rows, stream) -> None:
@@ -462,44 +425,42 @@ def dispatch(
     Returns (number of failed comparisons, manifest).  Artifacts and the
     manifest are byte-deterministic for a fixed config and seed.
 
-    The finite-n checks read the columns of one ``sample_statistics`` call
-    per run (one process pool), made at the first read: the whole grid
-    when fpe, ape-curve or mse can run, else n_max alone, with APE exactly
-    when ape-curve runs.  The columns at n never depend on these choices.
+    Each finite-n check is gated by ``monte_carlo.require``: a check run
+    alone raises its ConfigError, and "all" reports it as skipped.  The
+    checks that pass share one simulation before the checks, one
+    ``sample_statistics`` call (one process pool): the whole grid when
+    fpe, ape-curve or mse runs, else n_max alone, with APE exactly when
+    ape-curve runs.  The columns at n never depend on these choices.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
     stream = stream if stream is not None else sys.stdout
     names = list(_HANDLERS) if subcommand == "all" else [subcommand]
-    want_ape = "ape-curve" in names
-    if want_ape:
+    checks = [name for name in names if name in monte_carlo.NEEDS]  # the finite-n ones
+    skipped = {}
+    for name in checks:
         try:
-            _require_ape_grid(config)
-        except ConfigError:
-            want_ape = False
-
-    walks = config.varsigma == 1.0 and {"fpe", "ape-curve", "mse"} & set(names)
-    grid = config.n_grid if walks else config.n_grid[-1:]
-
-    @cache
-    def simulated():
-        return monte_carlo.sample_statistics(config, grid, want_ape=want_ape, workers=workers)
-
-    def columns(n):
-        return simulated()[n]
+            monte_carlo.require(config, name)
+        except ConfigError as exc:
+            if subcommand != "all":
+                raise
+            skipped[name] = exc.problems[0]
+    runs = {name for name in checks if name not in skipped}
+    columns = {}
+    if runs:
+        grid = config.n_grid if {"fpe", "ape-curve", "mse"} & runs else config.n_grid[-1:]
+        columns = monte_carlo.sample_statistics(
+            config, grid, want_ape="ape-curve" in runs, workers=workers
+        )
 
     failures = 0
     artifacts: dict[str, str] = {}
     for name in names:
-        try:
-            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns)
-        except ConfigError as exc:
-            if subcommand != "all":
-                raise
-            # mode-gated check: report it as skipped rather than aborting
+        if name in skipped:
             print(f"== {name} ==", file=stream)
-            print(f"{name}: skipped ({exc.problems[0]})", file=stream)
+            print(f"{name}: skipped ({skipped[name]})", file=stream)
             continue
+        rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns)
         for file_name, payload in files.items():
             csv = file_name.endswith(".csv")
             write = reporting.write_summary_csv if csv else reporting.write_json

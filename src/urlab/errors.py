@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import math
+from dataclasses import fields
+
 
 class ConfigError(ValueError):
     """Invalid model or experiment configuration.
@@ -17,10 +20,18 @@ class ConfigError(ValueError):
 
 class Validated:
     """Base of the validated frozen dataclasses: construction raises one
-    ConfigError carrying every problem ``problems()`` reports."""
+    ConfigError carrying every problem ``problems()`` reports, after a NaN
+    or infinity in any float or float-tuple field."""
 
     def __post_init__(self):
-        problems = self.problems()
+        problems = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    problems.append(f"{f.name} must be finite, got {v}")
+                    break
+        problems += self.problems()
         if problems:
             raise ConfigError(problems)
 

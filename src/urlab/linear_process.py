@@ -97,40 +97,35 @@ class FilterSpec(Validated):
 class Filter:
     """Materialized filter: working coefficients plus closed-form sums.
 
-    ``theta`` and ``tails`` come from the family closed forms (the full
-    infinite series), while ``coeffs`` holds the truncated working taps
-    c_0..c_L.  The gap between the two is bounded by ``tail_bound``,
-    itself at most tail_tol * |theta|.
+    ``theta`` comes from the family closed form (the full infinite
+    series), while ``coeffs`` holds the truncated working taps c_0..c_L.
+    The gap between the two is bounded by ``tail_bound``, itself at most
+    tail_tol * |theta|.
     """
 
     spec: FilterSpec
     coeffs: np.ndarray
     theta: float
-    tails: np.ndarray
     tail_bound: float
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-        self.tails.setflags(write=False)
 
     @property
     def lag(self) -> int:
         return len(self.coeffs) - 1
 
     def truncated_partial_sums(self) -> tuple[float, np.ndarray]:
-        """(theta, tails) of the truncated series itself.
+        """(theta, tails) of the truncated series itself, with tails[j] =
+        c_{j+1} + ... + c_L.
 
         Computed as suffix sums of the working taps, so the identity
         N_t - S_t = x_t holds exactly for the simulated (truncated)
-        process; the closed-form fields differ by at most tail_bound.
+        process; its theta differs from the closed form by at most
+        tail_bound.
         """
-        return _suffix_sums(self.coeffs)
-
-
-def _suffix_sums(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
-    """(sum of all taps, tails) with tails[j] = c_{j+1} + ... + c_L."""
-    suffix = np.cumsum(coeffs[::-1])[::-1]
-    return float(suffix[0]), np.append(suffix[1:], 0.0)
+        suffix = np.cumsum(self.coeffs[::-1])[::-1]
+        return float(suffix[0]), np.append(suffix[1:], 0.0)
 
 
 def _geometric_lag(a: float, r: float, tol_abs: float, lo: int) -> int:
@@ -185,8 +180,7 @@ def materialize_filter(spec: FilterSpec) -> Filter:
         coeffs = np.asarray(spec.coeffs, dtype=float)
         theta = math.fsum(coeffs)
         _check_theta(theta)
-        _, tails = _suffix_sums(coeffs)
-        return Filter(spec, coeffs, theta, tails, 0.0)
+        return Filter(spec, coeffs, theta, 0.0)
 
     if spec.family == "geometric":
         a, r = spec.a, spec.r
@@ -195,9 +189,8 @@ def materialize_filter(spec: FilterSpec) -> Filter:
         lag = _geometric_lag(a, r, spec.tail_tol * abs(theta), spec.truncation_lag)
         j = np.arange(lag + 1)
         coeffs = a * r**j.astype(float)
-        tails = a * r ** (j + 1.0) / (1.0 - r)
         bound = abs(a) * abs(r) ** (lag + 1) / (1.0 - abs(r))
-        return Filter(spec, coeffs, theta, tails, bound)
+        return Filter(spec, coeffs, theta, bound)
 
     from scipy import special
 
@@ -207,9 +200,8 @@ def materialize_filter(spec: FilterSpec) -> Filter:
     lag = _polynomial_lag(a, p, spec.tail_tol * abs(theta), spec.truncation_lag)
     j = np.arange(lag + 1)
     coeffs = a * (j + 1.0) ** (-p)
-    tails = a * special.zeta(p, j + 2.0)
     bound = abs(a) * float(special.zeta(p, lag + 2))
-    return Filter(spec, coeffs, theta, np.asarray(tails, dtype=float), bound)
+    return Filter(spec, coeffs, theta, bound)
 
 
 def _check_theta(theta: float) -> None:

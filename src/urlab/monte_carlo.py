@@ -43,7 +43,31 @@ _ROW_VALUES = 1 << 22  # float budget per generation batch
 
 MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
-CORR_MIN_REPS = 4  # cross_moment's corr_se divides by sqrt(reps - 3)
+
+# Every gate of the finite-n checks, in one place: check -> (mode, reps
+# floor, n_grid points floor), each floor (minimum, what for) or None.  The
+# limits a check compares against hold only in its mode.
+NEEDS = {
+    "fpe": ("unit-root", None, None),
+    "ape-curve": ("unit-root", None, (3, "points to fit a slope")),
+    "mse": ("unit-root", None, None),
+    # the correlation's se divides by sqrt(reps - 3)
+    "cross-moment": ("unit-root", (4, "for the correlation's se"), None),
+    "stationary": ("stationary", None, None),
+    "limit-check": ("unit-root", (KS_MIN_SAMPLES, "finite-n draws"), None),
+}
+_SET_MODE = {"unit-root": "set varsigma = 1", "stationary": "set |varsigma| < 1"}
+
+
+def require(config: ExperimentConfig, check: str) -> None:
+    """Raise one ConfigError when ``config`` cannot run ``check`` of NEEDS."""
+    mode, reps, points = NEEDS[check]
+    if mode != ("unit-root" if config.varsigma == 1.0 else "stationary"):
+        raise ConfigError([f"{check} compares against {mode} limits; {_SET_MODE[mode]}"])
+    floors = (("reps", config.reps, reps), ("n_grid with", len(config.n_grid), points))
+    for what, have, floor in floors:
+        if floor and have < floor[0]:
+            raise ConfigError([f"{check} needs {what} >= {floor[0]} {floor[1]}, got {have}"])
 
 
 def __getattr__(name):
@@ -457,10 +481,7 @@ def cross_moment(config: ExperimentConfig, workers: int = 1) -> dict:
     per-path fpe_stat by construction; the marginal product estimates the
     limit of the decoupled moments.
     """
-    if config.varsigma != 1.0:
-        raise ConfigError(["cross_moment requires unit-root mode (varsigma = 1)"])
-    if config.reps < CORR_MIN_REPS:
-        raise ConfigError([f"cross_moment needs reps >= {CORR_MIN_REPS}, got {config.reps}"])
+    require(config, "cross-moment")
     n = config.n_grid[-1]
     columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
     return cross_moment_from(columns, n)
@@ -488,10 +509,7 @@ def stationary_comparison(config: ExperimentConfig, workers: int = 1) -> dict:
     Both tend to sigma^2 and decouple in the limit, the contrast with the
     unit-root cross moment.
     """
-    if not abs(config.varsigma) < 1.0:
-        raise ConfigError(
-            [f"stationary_comparison requires |varsigma| < 1, got {config.varsigma}"]
-        )
+    require(config, "stationary")
     n = config.n_grid[-1]
     columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
     return stationary_comparison_from(columns, n)

