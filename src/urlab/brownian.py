@@ -7,22 +7,28 @@ sums push the self-integral to the Stratonovich value and every
 constant below drifts by a w^2 term.
 
 ``estimate_constants`` (ROLE_CONSTANTS, grid 2m) and
-``limit_sample_batch`` (ROLE_BM, grid m) share one batch loop and one
-policy.  Batch b is drawn from substream(base_seed, role, b).  A path whose
-time integral Q is under the floor (for the constants, at either grid) is
-redrawn from substream(base_seed, role, path index, attempt), attempt
-1 ... 64, and counted; ResamplePathError ends the run if none clears it.
+``limit_sample_batch`` (ROLE_BM, grid m) share one work unit, ``_batch``,
+and one policy.  Batch b is drawn from substream(base_seed, role, b).  A
+path whose time integral Q is under the floor (for the constants, at
+either grid) is redrawn from substream(base_seed, role, path index,
+attempt), attempt 1 ... 64, and counted; ResamplePathError ends the run
+if none clears it.  A batch depends on nothing but its key, so
+``streams.map_units`` runs the batches serially or over a process pool,
+and the samplers combine them in batch order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import ConfigError, ResamplePathError, Validated
-from .streams import ROLE_BM, ROLE_CONSTANTS, substream
+from .streams import ROLE_BM, ROLE_CONSTANTS, map_units, substream
 
 # Time integrals below this are degenerate: the exact event has probability
 # zero, so reaching the floor is a float pathology, and the path is redrawn.
@@ -168,12 +174,12 @@ def _divisor(q: np.ndarray) -> np.ndarray:
     return np.where(q < _TIME_INTEGRAL_FLOOR, 1.0, q)
 
 
-def _batches(m: int, width: int, reps: int, base_seed: int, role: int, score):
-    """Yield (start, values, redrawn) per batch of (take, m, width) draws, with
+def _batch(m: int, width: int, rows: int, reps: int, base_seed: int, role: int, score,
+           batch: int):
+    """(values, redrawn) of batch ``batch`` of (rows, m, width) draws, with
     ``score(levels, z)`` -> (Q, values), one value column per path."""
-    rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
+    start = batch * rows
     scale = math.sqrt(1.0 / m)
-    levels = np.zeros((rows, m + 1))  # column 0 stays 0 across batches
 
     def scored(rng, lev):
         z = rng.standard_normal((len(lev), m, width))
@@ -181,41 +187,63 @@ def _batches(m: int, width: int, reps: int, base_seed: int, role: int, score):
         np.cumsum(z[:, :, 0], axis=1, out=lev[:, 1:])
         return score(lev, z)
 
-    for batch, start in enumerate(range(0, reps, rows)):
-        q, values = scored(substream(base_seed, role, batch), levels[: min(rows, reps - start)])
-        redraw = np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]
-        for r in redraw:
-            index = start + int(r)
-            for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
-                q1, new = scored(substream(base_seed, role, index, attempt), np.zeros((1, m + 1)))
-                if q1[0] >= _TIME_INTEGRAL_FLOOR:
-                    values[:, r] = new[:, 0]
-                    break
-            else:
-                raise ResamplePathError(
-                    f"path {index}: time integral below {_TIME_INTEGRAL_FLOOR} "
-                    f"on {_MAX_RESAMPLE_ATTEMPTS} resamples"
-                )
-        yield start, values, len(redraw)
+    levels = _levels(rows, m, threading.get_ident())[: min(rows, reps - start)]
+    q, values = scored(substream(base_seed, role, batch), levels)
+    redraw = np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]
+    for r in redraw:
+        index = start + int(r)
+        for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
+            q1, new = scored(substream(base_seed, role, index, attempt), np.zeros((1, m + 1)))
+            if q1[0] >= _TIME_INTEGRAL_FLOOR:
+                values[:, r] = new[:, 0]
+                break
+        else:
+            raise ResamplePathError(
+                f"path {index}: time integral below {_TIME_INTEGRAL_FLOOR} "
+                f"on {_MAX_RESAMPLE_ATTEMPTS} resamples"
+            )
+    return values, len(redraw)
 
 
-def limit_sample_batch(p: LimitParams, m: int, reps: int, base_seed: int) -> dict:
-    """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts redraws."""
+@lru_cache(maxsize=1)
+def _levels(rows: int, m: int, thread: int) -> np.ndarray:
+    """The (rows, m + 1) levels buffer that the batches one thread runs
+    fill in turn, so its pages fault in once; column 0 stays 0.  A fresh
+    buffer per batch cost two pool workers about a third more CPU at
+    criterion 4's shape (m = 4096, 2-core VM)."""
+    return np.zeros((rows, m + 1))
 
-    def score(lev, z):
-        w = lev[:, :-1]
-        q = np.einsum("ij,ij->i", w, w) / m
-        i_aa = np.einsum("ij,ij->i", w, z[:, :, 0])
-        i_ab = np.einsum("ij,ij->i", w, z[:, :, 1])
-        num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * i_ab) ** 2
-        q_sq = _divisor(q) ** 2
-        return q, np.stack((lev[:, -1] ** 2 * num / q_sq, num / (p.lam**2 * q_sq)))
 
-    draws = np.empty((2, reps))
-    resampled = 0
-    for start, values, redrawn in _batches(m, 2, reps, base_seed, ROLE_BM, score):
-        draws[:, start : start + values.shape[1]] = values
-        resampled += redrawn
+def _map_batches(m, width, reps, base_seed, role, score, workers, pool) -> list:
+    """[(values, redrawn)] of every batch, in batch order, from
+    ``streams.map_units``."""
+    rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
+    work = partial(_batch, m, width, rows, reps, base_seed, role, score)
+    return map_units(work, range(-(-reps // rows)), workers, pool)
+
+
+def _limit_score(p: LimitParams, m: int, lev: np.ndarray, z: np.ndarray):
+    w = lev[:, :-1]
+    q = np.einsum("ij,ij->i", w, w) / m
+    i_aa = np.einsum("ij,ij->i", w, z[:, :, 0])
+    i_ab = np.einsum("ij,ij->i", w, z[:, :, 1])
+    num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * i_ab) ** 2
+    q_sq = _divisor(q) ** 2
+    return q, np.stack((lev[:, -1] ** 2 * num / q_sq, num / (p.lam**2 * q_sq)))
+
+
+def limit_sample_batch(
+    p: LimitParams, m: int, reps: int, base_seed: int,
+    workers: int = 1, pool: Executor | None = None,
+) -> dict:
+    """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts
+    redraws.  Batches run serially, over ``pool`` or over up to ``workers``
+    processes, with equal bits."""
+    batches = _map_batches(
+        m, 2, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers, pool
+    )
+    draws = np.concatenate([values for values, _ in batches], axis=1)
+    resampled = sum(redrawn for _, redrawn in batches)
     return {"fpe_limit_draw": draws[0], "mse_limit_draw": draws[1], "resampled": resampled}
 
 
@@ -258,7 +286,8 @@ class ConstantsReport:
 
 
 def estimate_constants(
-    m: int = 1 << 12, reps: int = 200_000, base_seed: int = 0
+    m: int = 1 << 12, reps: int = 200_000, base_seed: int = 0,
+    workers: int = 1, pool: Executor | None = None,
 ) -> ConstantsReport:
     """Monte Carlo estimates of K1 = E[(I/Q)^2] and K2 = E[1/Q].
 
@@ -271,16 +300,11 @@ def estimate_constants(
     if reps < 2:
         raise ConfigError([f"reps must be >= 2, got {reps}"])
     m_fine = 2 * m
-
-    def score(lev_f, z):
-        dw_f = z[:, :, 0]
-        q_f, k1_f, k2_f = _constant_draws(lev_f, dw_f, m_fine)
-        # a length-2 axis reduction is ~10x slower than this, with equal bits
-        q_c, k1_c, k2_c = _constant_draws(lev_f[:, ::2], dw_f[:, 0::2] + dw_f[:, 1::2], m)
-        return np.minimum(q_c, q_f), np.stack((k1_c, k2_c, k1_f, k2_f))
-
+    batches = _map_batches(
+        m_fine, 1, reps, base_seed, ROLE_CONSTANTS, partial(_constants_score, m), workers, pool
+    )
     sums = sums_sq = gaps = 0.0
-    for _, draws, _ in _batches(m_fine, 1, reps, base_seed, ROLE_CONSTANTS, score):
+    for draws, _ in batches:
         sums += draws.sum(axis=1)
         sums_sq += (draws**2).sum(axis=1)
         gaps += (draws[:2] - draws[2:]).sum(axis=1)
@@ -301,6 +325,15 @@ def estimate_constants(
         k1_gap=abs(float(gaps[0] / reps)),
         k2_gap=abs(float(gaps[1] / reps)),
     )
+
+
+def _constants_score(m: int, lev_f: np.ndarray, z: np.ndarray):
+    """(min Q, draws) at grids m and 2m of paths drawn at 2m."""
+    dw_f = z[:, :, 0]
+    q_f, k1_f, k2_f = _constant_draws(lev_f, dw_f, 2 * m)
+    # a length-2 axis reduction is ~10x slower than this, with equal bits
+    q_c, k1_c, k2_c = _constant_draws(lev_f[:, ::2], dw_f[:, 0::2] + dw_f[:, 1::2], m)
+    return np.minimum(q_c, q_f), np.stack((k1_c, k2_c, k1_f, k2_f))
 
 
 def _constant_draws(lev: np.ndarray, dw: np.ndarray, m: int) -> tuple[np.ndarray, ...]:

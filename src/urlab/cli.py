@@ -17,8 +17,16 @@ on each side), cross-moment reps >= 4 (the correlation's standard error)
 and ape-curve >= 3 n_grid points.  Run alone, such a check refuses the
 config; "all" reports it as skipped.
 
-The [targets] sizes are checked when the config is parsed: 3 <= m_log2 <= 20,
-bm_reps >= 2 and limit_reps >= 1000, and every float must be finite.
+The [targets] values are checked when the config is parsed: 3 <= m_log2
+<= 20, bm_reps >= 2, limit_reps >= 1000, se_mult and every floor, band
+and bound (fpe_floor, mse_floor, k1_floor, k2_floor, slope_rel_band,
+stationary_floor, ks_max) >= 0, and every float must be finite.
+
+With --workers K > 1 a run opens one process pool of K processes and
+every stage maps its work units over it: the finite-n engine's blocks of
+replications, the constants' Brownian batches and the limit-check's
+Brownian batches.  Each stage reassembles its results in index order, so
+every artifact is byte-identical to a run with --workers 1.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
 comparison under --strict, 2 a bad config (including a negative seed, a
@@ -37,7 +45,9 @@ import argparse
 import configparser
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -74,8 +84,12 @@ class Targets(Validated):
         m_log2_max = brownian._BATCH_VALUES.bit_length() - 2
         if not m_log2_min <= self.m_log2 <= m_log2_max:
             out.append(f"m_log2 must be >= {m_log2_min} and <= {m_log2_max}, got {self.m_log2}")
-        # the KS distance needs KS_MIN_SAMPLES draws per side
+        # the KS distance needs KS_MIN_SAMPLES draws per side, and a negative
+        # multiplier, floor or bound would make a pass band negative
         floors = {"bm_reps": 2, "limit_reps": monte_carlo.KS_MIN_SAMPLES}
+        bands = ("se_mult", "fpe_floor", "mse_floor", "k1_floor", "k2_floor",
+                 "slope_rel_band", "stationary_floor", "ks_max")
+        floors |= dict.fromkeys(bands, 0)
         return out + [
             f"{key} must be >= {floor}, got {getattr(self, key)}"
             for key, floor in floors.items()
@@ -258,7 +272,7 @@ def _grid_rows(summaries, target, floor, se_mult):
     ]
 
 
-def _run_fpe(config, targets, columns):
+def _run_fpe(config, targets, columns, pool):
     summaries = _grid_summaries(config, "fpe_stat", columns)
     target = monte_carlo.limit_target(config, "fpe_stat", config.n_grid[-1])
     rows = _grid_rows(summaries, target, targets.fpe_floor, targets.se_mult)
@@ -270,7 +284,7 @@ def _run_fpe(config, targets, columns):
     return rows, rows[-1]["passed"], files
 
 
-def _run_ape(config, targets, columns):
+def _run_ape(config, targets, columns, pool):
     summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
     # the paper's claim: APE grows per log n by the FPE constant
@@ -289,7 +303,7 @@ def _run_ape(config, targets, columns):
     return rows, slope_row["passed"], files
 
 
-def _run_mse(config, targets, columns):
+def _run_mse(config, targets, columns, pool):
     summaries = _grid_summaries(config, "norm_est_sq", columns)
     target = monte_carlo.limit_target(config, "norm_est_sq", config.n_grid[-1])
     rows = _grid_rows(summaries, target, targets.mse_floor, targets.se_mult)
@@ -300,9 +314,9 @@ def _run_mse(config, targets, columns):
     return rows, rows[-1]["passed"], files
 
 
-def _run_constants(config, targets, columns):
+def _run_constants(config, targets, columns, pool):
     report = brownian.estimate_constants(
-        m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed
+        m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed, pool=pool
     )
     rows = [
         _row(f"{est.name} ({what})", est.value, canon.value, _band(floor, est.se, targets.se_mult))
@@ -314,7 +328,7 @@ def _run_constants(config, targets, columns):
     return rows, all(r["passed"] for r in rows), {"constants.json": report.as_dict()}
 
 
-def _run_cross(config, targets, columns):
+def _run_cross(config, targets, columns, pool):
     n = config.n_grid[-1]
     out = monte_carlo.cross_moment_from(columns[n], n)
     target = partial(monte_carlo.limit_target, config, n=n)
@@ -348,7 +362,7 @@ def _run_cross(config, targets, columns):
     return rows, all(r["passed"] for r in rows), {"cross_moment.json": out}
 
 
-def _run_stationary(config, targets, columns):
+def _run_stationary(config, targets, columns, pool):
     n = config.n_grid[-1]
     out = monte_carlo.stationary_comparison_from(columns[n], n)
     sigma_sq, floor, mult = config.innovations.sigma_sq, targets.stationary_floor, targets.se_mult
@@ -360,12 +374,12 @@ def _run_stationary(config, targets, columns):
     return rows, all(r["passed"] for r in rows), {"stationary.json": out}
 
 
-def _run_limit_check(config, targets, columns):
+def _run_limit_check(config, targets, columns, pool):
     n = config.n_grid[-1]
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     draws = brownian.limit_sample_batch(
-        params, 1 << targets.m_log2, targets.limit_reps, config.base_seed
+        params, 1 << targets.m_log2, targets.limit_reps, config.base_seed, pool=pool
     )
     ks = monte_carlo.limit_distribution_check(columns[n]["fpe_stat"], draws["fpe_limit_draw"])
     rows = [_row(f"KS(finite n={n}, limit law)", ks, 0.0, targets.ks_max)]
@@ -382,8 +396,9 @@ def _run_limit_check(config, targets, columns):
     return rows, rows[0]["passed"], files
 
 
-# Each handler maps (config, targets, {n: columns}) to (rows, passed, {file
-# name: payload}) and writes nothing; dispatch writes every file.
+# Each handler maps (config, targets, {n: columns}, the run's process pool
+# or None) to (rows, passed, {file name: payload}) and writes nothing;
+# dispatch writes every file.
 _HANDLERS = {
     "fpe": _run_fpe,
     "ape-curve": _run_ape,
@@ -428,9 +443,14 @@ def dispatch(
     Each finite-n check is gated by ``monte_carlo.require``: a check run
     alone raises its ConfigError, and "all" reports it as skipped.  The
     checks that pass share one simulation before the checks, one
-    ``sample_statistics`` call (one process pool): the whole grid when
-    fpe, ape-curve or mse runs, else n_max alone, with APE exactly when
-    ape-curve runs.  The columns at n never depend on these choices.
+    ``sample_statistics`` call: the whole grid when fpe, ape-curve or mse
+    runs, else n_max alone, with APE exactly when ape-curve runs.  The
+    columns at n never depend on these choices.
+
+    When ``workers`` > 1 the run opens one process pool of ``workers``
+    processes, hands it to that call and to the constants and limit-check
+    handlers, and closes it on every exit path.  The finite blocks and the
+    Brownian batches map over it and are reassembled in index order.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
@@ -446,29 +466,32 @@ def dispatch(
                 raise
             skipped[name] = exc.problems[0]
     runs = {name for name in checks if name not in skipped}
-    columns = {}
-    if runs:
-        grid = config.n_grid if {"fpe", "ape-curve", "mse"} & runs else config.n_grid[-1:]
-        columns = monte_carlo.sample_statistics(
-            config, grid, want_ape="ape-curve" in runs, workers=workers
-        )
-
-    failures = 0
-    artifacts: dict[str, str] = {}
-    for name in names:
-        if name in skipped:
+    # one pool for every stage of the run; it forks its processes when a
+    # stage first maps two or more units over it
+    run_pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with run_pool as pool:
+        columns = {}
+        if runs:
+            grid = config.n_grid if {"fpe", "ape-curve", "mse"} & runs else config.n_grid[-1:]
+            columns = monte_carlo.sample_statistics(
+                config, grid, want_ape="ape-curve" in runs, pool=pool
+            )
+        failures = 0
+        artifacts: dict[str, str] = {}
+        for name in names:
+            if name in skipped:
+                print(f"== {name} ==", file=stream)
+                print(f"{name}: skipped ({skipped[name]})", file=stream)
+                continue
+            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns, pool)
+            for file_name, payload in files.items():
+                csv = file_name.endswith(".csv")
+                write = reporting.write_summary_csv if csv else reporting.write_json
+                artifacts[file_name] = reporting.checksum(write(Path(out_dir) / file_name, payload))
             print(f"== {name} ==", file=stream)
-            print(f"{name}: skipped ({skipped[name]})", file=stream)
-            continue
-        rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns)
-        for file_name, payload in files.items():
-            csv = file_name.endswith(".csv")
-            write = reporting.write_summary_csv if csv else reporting.write_json
-            artifacts[file_name] = reporting.checksum(write(Path(out_dir) / file_name, payload))
-        print(f"== {name} ==", file=stream)
-        _print_rows(rows, stream)
-        print(f"{name}: {'pass' if passed else 'FAIL'}", file=stream)
-        failures += 0 if passed else 1
+            _print_rows(rows, stream)
+            print(f"{name}: {'pass' if passed else 'FAIL'}", file=stream)
+            failures += 0 if passed else 1
     manifest = RunManifest(
         config_path=str(config_path),
         subcommand=subcommand,

@@ -10,7 +10,7 @@ keep reductions deterministic too.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import partial
 
@@ -28,7 +28,7 @@ from .linear_process import (
     stationary_burn_in,
 )
 # substream, the per-key reference, stays importable here for bench/layertrace.py
-from .streams import ROLE_PATH, substream, substreams  # noqa: F401
+from .streams import ROLE_PATH, map_units, substream, substreams  # noqa: F401
 
 STATISTICS = (
     "excess_ape",
@@ -38,8 +38,8 @@ STATISTICS = (
     "log_fisher",
 )
 
-_CHUNK = 4096        # replications per deterministic work unit
-_ROW_VALUES = 1 << 22  # float budget per generation batch
+_CHUNK = 4096        # most replications per work unit
+_ROW_VALUES = 1 << 22  # float budget per work unit's draws
 
 MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
@@ -196,7 +196,7 @@ def _path_columns(
     s_xx, plus ape and the scored-eps sse when ``want_ape``.
 
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
-    alone (see ``_chunk_worker`` for the one exception).  Every operation
+    alone (see ``_block_worker`` for the one exception).  Every operation
     acts along axis 1, so row results do not depend on batching.  Scoring
     reuses buffers in place; ``z`` is freed once consumed.
     """
@@ -266,10 +266,11 @@ def _rate_error(failures: int, where: str) -> DegenerateRateError:
     )
 
 
-def _chunk_worker(
+def _block_worker(
     config: ExperimentConfig, filt: Filter, grid: tuple[int, ...], want_ape: bool,
-    max_failures: float, rep_start: int, rep_stop: int,
+    max_failures: float, block: range,
 ) -> tuple[dict, dict]:
+    """({n: base columns}, {n: resample events}) of the replications in ``block``."""
     burn = stationary_burn_in(config.varsigma)
     rho, sigma_theta_sq = derived_correlation(config.innovations)
     scales = (math.sqrt(config.innovations.sigma_omega_sq), rho, math.sqrt(sigma_theta_sq))
@@ -282,30 +283,28 @@ def _chunk_worker(
 
     out: dict[int, dict[str, np.ndarray]] = {}
     failures = dict.fromkeys(grid, 0)
-    rows = max(4, _ROW_VALUES // (2 * (burn + grid[-1] + 1)))
-    for block in range(rep_start, rep_stop, rows):
-        # (reps, points) to score at this attempt; a row degenerate at n is
-        # rescored at n alone from its next attempt
-        block_reps = np.arange(block, min(block + rows, rep_stop))
-        todo, attempt = [(block_reps, points) for points in passes], 0
-        while todo:
-            retry = []
-            for reps, points in todo:
-                scored = _path_columns(
-                    _draws(config, reps, attempt, burn + points[-1] + 1), scales,
-                    filt.coeffs, config.beta, config.varsigma, burn, points, want_ape,
-                )
-                for n, (cols, bad) in scored.items():
-                    if n not in out:
-                        out[n] = {name: np.empty(rep_stop - rep_start) for name in cols}
-                    for name, col in cols.items():
-                        out[n][name][reps[~bad] - rep_start] = col[~bad]
-                    failures[n] += int(bad.sum())
-                    if failures[n] > max_failures:
-                        raise _rate_error(failures[n], f"at n={n}")
-                    if bad.any():
-                        retry.append((reps[bad], (n,)))
-            todo, attempt = retry, attempt + 1
+    # (reps, points) to score at this attempt; a row degenerate at n is
+    # rescored at n alone from its next attempt
+    block_reps = np.arange(block.start, block.stop)
+    todo, attempt = [(block_reps, points) for points in passes], 0
+    while todo:
+        retry = []
+        for reps, points in todo:
+            scored = _path_columns(
+                _draws(config, reps, attempt, burn + points[-1] + 1), scales,
+                filt.coeffs, config.beta, config.varsigma, burn, points, want_ape,
+            )
+            for n, (cols, bad) in scored.items():
+                if n not in out:
+                    out[n] = {name: np.empty(len(block)) for name in cols}
+                for name, col in cols.items():
+                    out[n][name][reps[~bad] - block.start] = col[~bad]
+                failures[n] += int(bad.sum())
+                if failures[n] > max_failures:
+                    raise _rate_error(failures[n], f"at n={n}")
+                if bad.any():
+                    retry.append((reps[bad], (n,)))
+        todo, attempt = retry, attempt + 1
     return out, failures
 
 
@@ -314,30 +313,30 @@ def sample_statistics(
     grid: tuple[int, ...],
     want_ape: bool | None = None,
     workers: int = 1,
+    pool: Executor | None = None,
 ) -> dict[int, dict[str, np.ndarray]]:
     """{n: per-path statistic columns over all replications} for each n of
     ``grid``, from one pass: each replication is drawn, filtered and
     integrated once at the largest n, and smaller n score its prefixes.
 
-    The columns at n, ``resampled`` included, are bit-identical to those
-    of a call with grid (n,), whatever the worker count (one process pool
-    when ``workers`` > 1): streams are keyed by replication index, and
-    fixed-size chunks are reassembled in index order.
+    The work units are blocks of consecutive replications, at most
+    ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
+    runs them serially, over ``pool`` (a run's open process pool) or over
+    a pool of up to ``workers`` processes, and they are reassembled in
+    index order.  The columns at n, ``resampled`` included, are
+    bit-identical to those of a call with grid (n,), whatever the worker
+    count: streams are keyed by replication index.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:
         want_ape = "excess_ape" in config.statistics
     filt = materialize_filter(config.filter_spec)
     max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
-    work = partial(_chunk_worker, config, filt, grid, want_ape, max_failures)
-    starts = range(0, config.reps, _CHUNK)
-    stops = [min(start + _CHUNK, config.reps) for start in starts]
-    if workers <= 1 or len(starts) == 1:
-        results = list(map(work, starts, stops))
-    else:
-        # a pool forks all its workers up front; more than chunks would idle
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            results = list(pool.map(work, starts, stops))
+    work = partial(_block_worker, config, filt, grid, want_ape, max_failures)
+    width = stationary_burn_in(config.varsigma) + grid[-1] + 1
+    rows = min(_CHUNK, max(4, _ROW_VALUES // (2 * width)))
+    blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
+    results = map_units(work, blocks, workers, pool)
     merged = {}
     for n in grid:
         failures = sum(r[1][n] for r in results)

@@ -16,11 +16,16 @@ reused PCG64DXSM by setting its state, which is what seeding from the
 SeedSequence computes.  A block with an index outside [0, 2**32), which
 SeedSequence splits into more than one word, or a negative key part,
 falls back to ``substream``.
+
+Since every unit of work is keyed this way, it can run in any process:
+``map_units`` maps a function over index-ordered units, serially or over
+a process pool, and returns the results in unit order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from concurrent.futures import Executor, ProcessPoolExecutor
 
 import numpy as np
 from numpy.random import Generator, PCG64DXSM, SeedSequence
@@ -152,3 +157,21 @@ def substreams(
             }
             bitgen.state = state
             yield rng
+
+
+def map_units(fn, units, workers: int = 1, pool: Executor | None = None) -> list:
+    """``[fn(u) for u in units]``, in unit order.
+
+    Serial when there is one unit, or when no ``pool`` is given and
+    ``workers`` is 1.  Otherwise the units go to ``pool``, a run's open
+    pool, or to a pool of min(workers, units) processes opened for this
+    call: a pool forks all its processes up front, and more than units
+    would idle.
+    """
+    units = list(units)
+    if len(units) < 2 or (pool is None and workers <= 1):
+        return list(map(fn, units))
+    if pool is not None:
+        return list(pool.map(fn, units))
+    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as own:
+        return list(own.map(fn, units))

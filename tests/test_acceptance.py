@@ -7,6 +7,7 @@ modules cover the same machinery at small scale.
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from urlab.streams import ROLE_BM, ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
 FULL_CORR = InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=1.0)
+# the Brownian samplers' batches run over every core, with equal bits
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def _line(record, idx, label, body, ok):
@@ -121,7 +124,7 @@ def test_criterion_3_ape_slope(acceptance_report):
 # ------------------------------------------------ 4: limit constants
 
 def test_criterion_4_limit_constants(acceptance_report):
-    rep = estimate_constants(m=1 << 12, reps=200_000, base_seed=0)
+    rep = estimate_constants(m=1 << 12, reps=200_000, base_seed=0, workers=WORKERS)
     k1, k2 = rep.k1, rep.k2
     ok = (
         abs(k1.value - 13.3) <= 0.5
@@ -338,7 +341,7 @@ def test_criterion_9_weak_convergence(acceptance_report):
     near = sample_statistics(cfg, (4000,))[4000]["fpe_stat"]
     far = sample_statistics(cfg, (50,))[50]["fpe_stat"]
     params = LimitParams.from_model(materialize_filter(RANDOM_WALK), FULL_CORR)
-    draws = limit_sample_batch(params, 1 << 12, 10_000, 17)["fpe_limit_draw"]
+    draws = limit_sample_batch(params, 1 << 12, 10_000, 17, workers=WORKERS)["fpe_limit_draw"]
     ks_near = limit_distribution_check(near, draws)
     ks_far = limit_distribution_check(far, draws)
     ok = ks_near <= 0.03 and ks_near < ks_far

@@ -214,6 +214,25 @@ def test_both_samplers_redraw_degenerate_paths_alike(monkeypatch):
         assert est.value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "redraws"])
+def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
+    # a batch of 30 paths at grid 32 (16 with two columns): 200 paths make
+    # 7 batches in each sampler; the raised floor of the redraw test above
+    # flags a few paths in each
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
+    if floor is not None:
+        monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
+    p = LimitParams.create(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    solo = limit_sample_batch(p, 16, 200, base_seed=3)
+    duo = limit_sample_batch(p, 16, 200, base_seed=3, workers=2)
+    for key in ("fpe_limit_draw", "mse_limit_draw"):
+        assert duo[key].tobytes() == solo[key].tobytes(), key
+    assert duo["resampled"] == solo["resampled"]
+    assert (solo["resampled"] > 0) == (floor is not None)
+    report = estimate_constants(m=16, reps=200, base_seed=3)
+    assert estimate_constants(m=16, reps=200, base_seed=3, workers=2) == report
+
+
 def test_fpe_draw_mean_near_two_sigma_sq():
     p = unit_params()
     draws = limit_sample_batch(p, 256, 40_000, base_seed=4)["fpe_limit_draw"]

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import multiprocessing
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from urlab import ConfigError, ExperimentConfig, FilterSpec, InnovationSpec, monte_carlo
+from urlab import brownian, cli, streams
 from urlab.cli import (
     SUBCOMMANDS,
     Targets,
@@ -359,6 +362,99 @@ def test_broken_pool_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     assert main(["fpe", str(ini), "--workers", "2", "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err == "error: a worker process terminated abruptly\n"
+
+
+# FAST_RUN with enough reps for limit-check and small Brownian targets
+SPLIT_RUN = FAST_RUN.replace("n_grid = 200", "n_grid = 50, 100, 200").replace(
+    "reps = 400", "reps = 1000"
+) + "m_log2 = 4\nbm_reps = 300\nlimit_reps = 1000\n"
+
+
+def _split_every_stage(monkeypatch):
+    # 300-rep finite blocks, and Brownian batches of 100 paths at grid 32
+    # (constants) or 16 with two columns (limit-check)
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 300)
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 100 * 32)
+
+
+def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
+    _split_every_stage(monkeypatch)
+    ini = tmp_path / "run.ini"
+    ini.write_text(SPLIT_RUN)
+    manifests = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["all", str(ini), "--workers", workers, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text())["artifacts"])
+    assert "limit_check.json" in manifests[0] and "constants.json" in manifests[0]
+    assert manifests[1] == manifests[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_all_opens_one_pool_for_every_stage(tmp_path, monkeypatch):
+    opened, mapped = [], []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            units = list(units)
+            mapped.append(len(units))
+            return map(fn, units)
+
+    _split_every_stage(monkeypatch)
+    cfg, targets = load_run(SPLIT_RUN)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(streams, "ProcessPoolExecutor", CountingPool)
+    _, manifest = dispatch(
+        "all", cfg, targets, out_dir=tmp_path / "o", workers=2, stream=io.StringIO()
+    )
+    assert opened == [2]
+    # finite blocks, constants batches, limit-check batches
+    assert mapped == [4, 3, 10]
+    assert "limit_check.json" in manifest.artifacts
+
+
+@pytest.mark.parametrize(
+    "subcommand,module,name,value,message",
+    [
+        ("constants", brownian, "_TIME_INTEGRAL_FLOOR", math.inf,
+         "path 0: time integral below inf on 64 resamples"),
+        ("fpe", monte_carlo, "_degenerate_mask", lambda u: u[:, 0] == u[:, 0],
+         "degenerate-path rate exceeded 0.1% (300 resample events at n=50); "
+         "model cannot score predictions"),
+    ],
+    ids=["resample", "degenerate-rate"],
+)
+def test_worker_errors_exit_3(tmp_path, capsys, monkeypatch, subcommand, module, name,
+                              value, message):
+    _split_every_stage(monkeypatch)
+    monkeypatch.setattr(module, name, value)
+    ini = tmp_path / "run.ini"
+    ini.write_text(SPLIT_RUN)
+    assert main([subcommand, str(ini), "--workers", "2", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["se_mult", "fpe_floor", "mse_floor", "k1_floor", "k2_floor", "slope_rel_band",
+     "stationary_floor", "ks_max"],
+)
+def test_negative_targets_rejected_at_parse(tmp_path, capsys, key):
+    ini = tmp_path / "targets.ini"
+    ini.write_text(FAST_RUN.replace("fpe_floor = 0.5\n", "") + f"{key} = -1\n")
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be >= 0, got -1.0\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2", "two"])

@@ -21,7 +21,7 @@ from urlab import (
     sample_statistics,
     stationary_comparison,
 )
-from urlab import monte_carlo
+from urlab import monte_carlo, streams
 from urlab.linear_process import _AR_LOOP_MAX_WIDTH, stationary_burn_in
 from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
@@ -109,7 +109,7 @@ def test_pool_opens_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
     cfg = config(reps=100, n_grid=(50,))
     solo = sample_statistics(cfg, (50,))[50]
-    monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(streams, "ProcessPoolExecutor", SerialPool)
     pooled = sample_statistics(cfg, (50,), workers=64)[50]
     assert opened == [3]
     for key, col in solo.items():
