@@ -71,14 +71,17 @@ class BmPath:
 
 @dataclass(frozen=True)
 class LimitParams(Validated):
-    """Scale parameters entering the limit functionals."""
+    """Scale parameters entering the limit functionals.
+
+    Holds the primitives only: the correlation rho, the scales sigma_omega
+    and sigma_theta, and the filter sum theta.  iota^2 = theta^2 and
+    lambda = sigma_omega * theta are derived on each read.
+    """
 
     rho: float
     sigma_omega: float
     sigma_theta: float
-    sigma: float
-    iota_sq: float
-    lam: float
+    theta: float
 
     def problems(self) -> list[str]:
         out = []
@@ -87,34 +90,16 @@ class LimitParams(Validated):
         if self.sigma_theta < 0.0:
             out.append(f"sigma_theta must be >= 0, got {self.sigma_theta}")
         if not self.iota_sq > 0.0:
-            out.append(f"iota_sq must be > 0, got {self.iota_sq}")
-        var = self.rho**2 * self.sigma_omega**2 + self.sigma_theta**2
-        if abs(var - self.sigma**2) > 1e-9 * max(1.0, var):
-            out.append(
-                f"sigma^2 = {self.sigma ** 2:.6g} != rho^2 sigma_omega^2 + sigma_theta^2 "
-                f"= {var:.6g}"
-            )
-        if self.sigma_omega > 0.0 and abs(
-            self.iota_sq - self.lam**2 / self.sigma_omega**2
-        ) > 1e-9 * max(1.0, self.iota_sq):
-            out.append(
-                f"iota_sq = {self.iota_sq:.6g} != lambda^2 / sigma_omega^2 "
-                f"= {self.lam ** 2 / self.sigma_omega ** 2:.6g}"
-            )
+            out.append(f"iota_sq = theta^2 must be > 0, got theta = {self.theta}")
         return out
 
-    @classmethod
-    def create(cls, rho: float, sigma_omega: float, sigma_theta: float, theta: float) -> "LimitParams":
-        """Build consistent params from the primitive scales."""
-        sigma = math.sqrt(rho**2 * sigma_omega**2 + sigma_theta**2)
-        return cls(
-            rho=rho,
-            sigma_omega=sigma_omega,
-            sigma_theta=sigma_theta,
-            sigma=sigma,
-            iota_sq=theta**2,
-            lam=sigma_omega * theta,
-        )
+    @property
+    def iota_sq(self) -> float:
+        return self.theta**2
+
+    @property
+    def lam(self) -> float:
+        return self.sigma_omega * self.theta
 
     @classmethod
     def from_model(cls, filt, innov) -> "LimitParams":
@@ -122,7 +107,7 @@ class LimitParams(Validated):
         from .innovations import derived_correlation
 
         rho, sigma_theta_sq = derived_correlation(innov)
-        return cls.create(
+        return cls(
             rho=rho,
             sigma_omega=math.sqrt(innov.sigma_omega_sq),
             sigma_theta=math.sqrt(sigma_theta_sq),

@@ -36,8 +36,9 @@ _THETA_FLOOR = 1e-6
 
 _DEFAULT_TAIL_TOL = 1e-8
 
-# Hard cap for automatic truncation growth; hit only by near-pathological
-# (a, r) or (a, p) combinations, and better reported than looped forever.
+# Largest working lag of any filter, 80 MB of taps.  A spec that asks for
+# or needs more is refused when the config is parsed, before any taps
+# are allocated.
 _MAX_LAG = 10_000_000
 
 
@@ -49,8 +50,11 @@ class FilterSpec(Validated):
     family "geometric":  c_j = a * r**j with |r| < 1.
     family "polynomial": c_j = a * (j+1)**(-p) with p > 2.
 
-    ``truncation_lag`` is a lower bound on the working lag L; it is raised
-    automatically until sum_{j>L} |c_j| <= tail_tol * |theta|.
+    ``truncation_lag`` is a lower bound on the working lag L of the two
+    infinite families; L is the smallest lag at or above it with
+    sum_{j>L} |c_j| <= tail_tol * |theta|.  For every family
+    ``truncation_lag`` and L are at most _MAX_LAG: a spec that asks for
+    more is refused here, and one that needs more when materialized.
     """
 
     family: str = "finite"
@@ -83,8 +87,10 @@ class FilterSpec(Validated):
                 out.append(f"polynomial decay requires p > 2, got {self.p}")
         if not self.tail_tol > 0.0:
             out.append(f"tail_tol must be > 0, got {self.tail_tol}")
-        if self.truncation_lag < 0:
-            out.append(f"truncation_lag must be >= 0, got {self.truncation_lag}")
+        if not 0 <= self.truncation_lag <= _MAX_LAG:
+            out.append(
+                f"truncation_lag must be >= 0 and <= {_MAX_LAG}, got {self.truncation_lag}"
+            )
         return out
 
     def __post_init__(self):
@@ -111,10 +117,6 @@ class Filter:
     def __post_init__(self):
         self.coeffs.setflags(write=False)
 
-    @property
-    def lag(self) -> int:
-        return len(self.coeffs) - 1
-
     def truncated_partial_sums(self) -> tuple[float, np.ndarray]:
         """(theta, tails) of the truncated series itself, with tails[j] =
         c_{j+1} + ... + c_L.
@@ -128,44 +130,22 @@ class Filter:
         return float(suffix[0]), np.append(suffix[1:], 0.0)
 
 
-def _geometric_lag(a: float, r: float, tol_abs: float, lo: int) -> int:
-    # tail(L) = |a| |r|^(L+1) / (1 - |r|)
-    q = abs(r)
-    if a == 0.0:
-        return lo
-    lhs = tol_abs * (1.0 - q) / abs(a)
-    if lhs >= q:  # L = 0 already suffices
-        need = 0
-    else:
-        need = max(0, math.ceil(math.log(lhs) / math.log(q)) - 1)
-        while abs(a) * q ** (need + 1) / (1.0 - q) > tol_abs:
-            need += 1
-    return max(lo, need)
-
-
-def _polynomial_lag(a: float, p: float, tol_abs: float, lo: int) -> int:
-    # tail(L) = |a| * zeta(p, L+2), decreasing in L; double then bisect
-    # to the smallest satisfying lag.
-    from scipy import special
-
-    def tail(lag):
-        return abs(a) * float(special.zeta(p, lag + 2))
-
+def _lag(tail, tol_abs: float, lo: int) -> int:
+    """Smallest lag L >= lo with tail(L) <= tol_abs, for a decreasing
+    ``tail``: double, then bisect.  Raises ConfigError when that lag
+    would pass _MAX_LAG."""
     hi = max(lo, 1)
     while tail(hi) > tol_abs:
-        hi *= 2
-        if hi > _MAX_LAG:
-            raise ConfigError(
-                [f"truncation lag exceeded {_MAX_LAG} before meeting tail_tol"]
-            )
-    lo_b = lo
-    while lo_b < hi:
-        mid = (lo_b + hi) // 2
+        if hi >= _MAX_LAG:
+            raise ConfigError([f"filter needs a lag above {_MAX_LAG} to meet tail_tol"])
+        hi = min(2 * hi, _MAX_LAG)
+    while lo < hi:
+        mid = (lo + hi) // 2
         if tail(mid) <= tol_abs:
             hi = mid
         else:
-            lo_b = mid + 1
-    return lo_b
+            lo = mid + 1
+    return lo
 
 
 @lru_cache(maxsize=16)
@@ -173,8 +153,10 @@ def materialize_filter(spec: FilterSpec) -> Filter:
     """Resolve a FilterSpec into working taps and closed-form sums.
 
     Cached per (frozen, hashable) spec, so callers share one Filter whose
-    arrays are read-only.  Raises ConfigError when the coefficient sum
-    theta is numerically zero.
+    arrays are read-only.  Each infinite family gives theta, the tail
+    bound tail(L) = sum_{j>L} |c_j| and the taps c_j, and ``_lag`` sizes
+    both.  Raises ConfigError when the coefficient sum theta is
+    numerically zero or the lag would pass _MAX_LAG.
     """
     if spec.family == "finite":
         coeffs = np.asarray(spec.coeffs, dtype=float)
@@ -182,26 +164,22 @@ def materialize_filter(spec: FilterSpec) -> Filter:
         _check_theta(theta)
         return Filter(spec, coeffs, theta, 0.0)
 
+    a = spec.a
     if spec.family == "geometric":
-        a, r = spec.a, spec.r
+        r = spec.r
         theta = a / (1.0 - r)
-        _check_theta(theta)
-        lag = _geometric_lag(a, r, spec.tail_tol * abs(theta), spec.truncation_lag)
-        j = np.arange(lag + 1)
-        coeffs = a * r**j.astype(float)
-        bound = abs(a) * abs(r) ** (lag + 1) / (1.0 - abs(r))
-        return Filter(spec, coeffs, theta, bound)
+        tail = lambda lag: abs(a) * abs(r) ** (lag + 1) / (1.0 - abs(r))
+        coeff = lambda j: a * r ** j.astype(float)
+    else:
+        from scipy import special
 
-    from scipy import special
-
-    a, p = spec.a, spec.p
-    theta = a * float(special.zeta(p, 1))
+        p = spec.p
+        theta = a * float(special.zeta(p, 1))
+        tail = lambda lag: abs(a) * float(special.zeta(p, lag + 2))
+        coeff = lambda j: a * (j + 1.0) ** (-p)
     _check_theta(theta)
-    lag = _polynomial_lag(a, p, spec.tail_tol * abs(theta), spec.truncation_lag)
-    j = np.arange(lag + 1)
-    coeffs = a * (j + 1.0) ** (-p)
-    bound = abs(a) * float(special.zeta(p, lag + 2))
-    return Filter(spec, coeffs, theta, bound)
+    lag = _lag(tail, spec.tail_tol * abs(theta), spec.truncation_lag)
+    return Filter(spec, coeff(np.arange(lag + 1)), theta, tail(lag))
 
 
 def _check_theta(theta: float) -> None:

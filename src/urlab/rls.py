@@ -64,10 +64,6 @@ class RlsState:
         return self._s_xx.value
 
     @property
-    def s_xy(self) -> float:
-        return self._s_xy.value
-
-    @property
     def ape(self) -> float:
         return self._ape.value
 

@@ -32,7 +32,7 @@ K2_QUADRATURE = 5.562860342539
 
 
 def unit_params() -> LimitParams:
-    return LimitParams.create(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=1.0)
+    return LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=1.0)
 
 
 # ----------------------------------------------------------------- paths
@@ -93,11 +93,15 @@ def test_integral_moments():
 
 # --------------------------------------------------------------- params
 
-def test_limit_params_consistency_enforced():
-    with pytest.raises(ConfigError, match="sigma"):
-        LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, sigma=2.0, iota_sq=1.0, lam=1.0)
-    with pytest.raises(ConfigError, match="iota_sq"):
-        LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, sigma=1.0, iota_sq=2.0, lam=1.0)
+def test_limit_params_refusals():
+    LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=1.0)
+    with pytest.raises(ConfigError, match=r"theta\^2 must be > 0"):
+        LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=0.0)
+    for sigma_omega in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="sigma_omega must be > 0"):
+            LimitParams(rho=1.0, sigma_omega=sigma_omega, sigma_theta=0.0, theta=1.0)
+    with pytest.raises(ConfigError, match="sigma_theta must be >= 0"):
+        LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=-0.5, theta=1.0)
 
 
 def test_limit_params_from_model():
@@ -108,14 +112,13 @@ def test_limit_params_from_model():
     assert p.sigma_omega == pytest.approx(2.0)
     assert p.iota_sq == pytest.approx(4.0)  # theta = 2
     assert p.lam == pytest.approx(4.0)
-    assert p.sigma == pytest.approx(1.0)
 
 
 # --------------------------------------------------------------- draws
 
 def test_limit_sample_formula_by_hand():
     path = BmPath.generate(32, substream(2, ROLE_BM, 7))
-    p = LimitParams.create(rho=0.6, sigma_omega=1.5, sigma_theta=2.0, theta=0.8)
+    p = LimitParams(rho=0.6, sigma_omega=1.5, sigma_theta=2.0, theta=0.8)
     q = time_integral_sq(path.wa)
     i_aa = ito_integral(path.wa, path.dwa)
     i_ab = ito_integral(path.wa, path.dwb)
@@ -170,7 +173,7 @@ def test_both_samplers_redraw_degenerate_paths_alike(monkeypatch):
     # that clears the floor
     floor, m, reps, seed = 0.04, 16, 200, 3
     monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
-    p = LimitParams.create(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
 
     out = limit_sample_batch(p, m, reps, base_seed=seed)
     z = substream(seed, ROLE_BM, 0).standard_normal((reps, m, 2)) * math.sqrt(1.0 / m)
@@ -222,7 +225,7 @@ def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
     monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
     if floor is not None:
         monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
-    p = LimitParams.create(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     solo = limit_sample_batch(p, 16, 200, base_seed=3)
     duo = limit_sample_batch(p, 16, 200, base_seed=3, workers=2)
     for key in ("fpe_limit_draw", "mse_limit_draw"):
@@ -243,7 +246,7 @@ def test_fpe_draw_mean_near_two_sigma_sq():
 def test_mse_draw_scales_with_lambda():
     # same seed, different scale: mse draws divide by lambda^2
     p1 = unit_params()
-    p2 = LimitParams.create(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=2.0)
+    p2 = LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=2.0)
     a = limit_sample_batch(p1, 64, 500, base_seed=6)
     b = limit_sample_batch(p2, 64, 500, base_seed=6)
     assert np.allclose(b["mse_limit_draw"], a["mse_limit_draw"] / 4.0, rtol=1e-12)
@@ -303,14 +306,14 @@ def test_estimate_constants_validation():
 
 def test_mse_limit_formula_corners():
     assert mse_limit_formula(unit_params()) == pytest.approx(13.3)
-    p_indep = LimitParams.create(rho=0.0, sigma_omega=1.0, sigma_theta=1.0, theta=1.0)
+    p_indep = LimitParams(rho=0.0, sigma_omega=1.0, sigma_theta=1.0, theta=1.0)
     assert mse_limit_formula(p_indep) == pytest.approx(5.6)
-    p_half = LimitParams.create(rho=0.5, sigma_omega=1.0, sigma_theta=math.sqrt(0.75), theta=1.0)
+    p_half = LimitParams(rho=0.5, sigma_omega=1.0, sigma_theta=math.sqrt(0.75), theta=1.0)
     assert mse_limit_formula(p_half) == pytest.approx(0.25 * 13.3 + 0.75 * 5.6)
     # custom constants flow through
     assert mse_limit_formula(unit_params(), k1=10.0, k2=1.0) == pytest.approx(10.0)
 
 
 def test_mse_limit_formula_scales_with_iota():
-    p = LimitParams.create(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=2.0)
+    p = LimitParams(rho=1.0, sigma_omega=1.0, sigma_theta=0.0, theta=2.0)
     assert mse_limit_formula(p) == pytest.approx(13.3 / 4.0)

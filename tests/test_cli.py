@@ -95,6 +95,21 @@ def test_syntax_error_wrapped():
         load_run("not an ini file at all [")
 
 
+@pytest.mark.parametrize(
+    "filter_keys",
+    [
+        "family = geometric\na = 1.0\nr = 0.999999\n",  # needs lag 18.4 million
+        "family = geometric\na = 1.0\nr = 0.5\ntruncation_lag = 10000001\n",
+    ],
+    ids=["needed-lag", "truncation-lag"],
+)
+def test_oversized_lag_refused_at_parse(filter_keys):
+    with pytest.raises(ConfigError) as exc:
+        load_run(f"[filter]\n{filter_keys}\n[experiment]\nn_grid = 500\n")
+    assert len(exc.value.problems) == 1
+    assert "10000000" in exc.value.problems[0]
+
+
 def test_round_trip_identity():
     configs = [
         load_run(MINIMAL)[0],
@@ -536,10 +551,13 @@ def test_main_exit_codes(tmp_path):
     good.write_text(FAST_RUN)
     bad = tmp_path / "bad.ini"
     bad.write_text("[innovations]\npi = 9.0\n")
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("# caf\u00e9\n[innovations]\npi = 0.5\n".encode("latin-1"))
 
     assert main(["fpe", str(good), "--out", str(tmp_path / "o1")]) == 0
     assert main(["fpe", str(tmp_path / "missing.ini")]) == 2
     assert main(["fpe", str(bad)]) == 2
+    assert main(["fpe", str(latin1)]) == 2
 
     # an impossible floor fails the comparison: exit 1 only under --strict
     hard = tmp_path / "hard.ini"

@@ -34,7 +34,7 @@ FULL_CORR = InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=1.0)
 def test_finite_filter_closed_forms():
     filt = materialize_filter(FilterSpec(family="finite", coeffs=(1.0, 2.0, -0.5)))
     assert filt.theta == pytest.approx(2.5, rel=1e-15)
-    assert filt.lag == 2
+    assert len(filt.coeffs) - 1 == 2
     assert filt.truncated_partial_sums()[1] == pytest.approx([1.5, -0.5, 0.0], abs=1e-15)
     assert filt.tail_bound == 0.0
     params = LimitParams.from_model(filt, InnovationSpec(sigma_omega_sq=4.0, sigma_sq=4.0))
@@ -47,7 +47,7 @@ def test_geometric_filter_closed_forms():
     assert filt.theta == pytest.approx(2.0, rel=1e-15)
     assert filt.tail_bound <= filt.spec.tail_tol * abs(filt.theta)
     # the chosen lag is minimal: one step shorter would violate the bound
-    lag = filt.lag
+    lag = len(filt.coeffs) - 1
     assert 0.5**lag / 0.5 > filt.spec.tail_tol * 2.0  # tail(lag-1) too big
 
 
@@ -61,7 +61,38 @@ def test_polynomial_filter_closed_forms():
 
 def test_truncation_lag_lower_bound_honored():
     filt = materialize_filter(FilterSpec(family="geometric", a=1.0, r=0.1, truncation_lag=50))
-    assert filt.lag >= 50
+    assert len(filt.coeffs) - 1 >= 50
+
+
+def _tail(spec: FilterSpec, lag: int) -> float:
+    """sum_{j > lag} |c_j| in closed form."""
+    if spec.family == "geometric":
+        return abs(spec.a) * abs(spec.r) ** (lag + 1) / (1.0 - abs(spec.r))
+    return abs(spec.a) * float(special.zeta(spec.p, lag + 2))
+
+
+@pytest.mark.parametrize(
+    "spec, lag",
+    [
+        (FilterSpec(family="geometric", a=1.0, r=0.5), 26),
+        (FilterSpec(family="geometric", a=-1.5, r=0.25, tail_tol=1e-10), 16),
+        (FilterSpec(family="geometric", a=1.0, r=0.1, truncation_lag=50), 50),
+        (FilterSpec(family="geometric", a=2.0, r=-0.6), 38),
+        (FilterSpec(family="geometric", a=-2.0, r=-0.85), 128),
+        (FilterSpec(family="polynomial", a=0.1, p=2.5, truncation_lag=7), 135169),
+        (FilterSpec(family="polynomial", a=1.0, p=2.5), 135169),
+        (FilterSpec(family="polynomial", a=1.0, p=3.0), 6448),
+        (FilterSpec(family="polynomial", a=2.0, p=3.0), 6448),
+        # tail(3) meets the tolerance exactly
+        (FilterSpec(family="geometric", a=0.3, r=0.01, tail_tol=1e-8), 3),
+    ],
+)
+def test_lag_is_pinned_and_minimal(spec, lag):
+    filt = materialize_filter(spec)
+    tol = spec.tail_tol * abs(filt.theta)
+    assert len(filt.coeffs) - 1 == lag
+    assert filt.tail_bound == _tail(spec, lag) <= tol
+    assert lag == spec.truncation_lag or _tail(spec, lag - 1) > tol
 
 
 def test_materialized_filter_is_shared_and_read_only():

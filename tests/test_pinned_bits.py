@@ -92,7 +92,7 @@ def test_estimate_constants(m, reps, digest):
 
 @pytest.mark.parametrize("m,digest", [(64, "5b1f46c561911e0627b3a5788900889e5f85a4aa327b1dc8807682bd56302a70"), (1024, "519e14601d850dbda3a9b3cce75b354f08d454dd066b05365c8511c62a046ca0")])
 def test_limit_sample_batch(m, digest):
-    params = LimitParams.create(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    params = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     draws = limit_sample_batch(params, m, 2500, base_seed=8)
     assert draws.pop("resampled") == 0
     assert _columns_digest({m: draws}) == digest
