@@ -81,6 +81,15 @@ def _standardized(rng: np.random.Generator, family: str, size) -> np.ndarray:
     raise ConfigError([f"family must be one of {FAMILIES}, got {family!r}"])
 
 
+def _scaled_pairs(spec: InnovationSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, epsilon) from standardized draws z[..., 0:2]: omega scales
+    the first, and epsilon adds rho * omega to the scaled second."""
+    rho, sigma_theta_sq = derived_correlation(spec)
+    omega = math.sqrt(spec.sigma_omega_sq) * z[..., 0]
+    epsilon = rho * omega + math.sqrt(sigma_theta_sq) * z[..., 1]
+    return omega, epsilon
+
+
 def draw_pairs(
     rng: np.random.Generator, spec: InnovationSpec, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +99,5 @@ def draw_pairs(
     so a loop of single-pair calls on the same stream state reproduces the
     vectorized draws bit for bit.
     """
-    rho, sigma_theta_sq = derived_correlation(spec)
-    z = _standardized(rng, spec.family, (count, 2))
-    omega = math.sqrt(spec.sigma_omega_sq) * z[:, 0]
-    epsilon = rho * omega + math.sqrt(sigma_theta_sq) * z[:, 1]
-    return omega, epsilon
+    return _scaled_pairs(spec, _standardized(rng, spec.family, (count, 2)))
 

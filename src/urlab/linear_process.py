@@ -30,6 +30,9 @@ from .innovations import InnovationSpec, draw_pairs
 
 FILTER_FAMILIES = ("finite", "geometric", "polynomial")
 
+# The shape parameters each family reads; setting another one is an error.
+_READS = {"finite": ("coeffs",), "geometric": ("a", "r"), "polynomial": ("a", "p")}
+
 # |sum c_j| below this is treated as "filter sums to zero": the regressor
 # would lose its unit-root scale and every normalization downstream breaks.
 _THETA_FLOOR = 1e-6
@@ -50,11 +53,12 @@ class FilterSpec(Validated):
     family "geometric":  c_j = a * r**j with |r| < 1.
     family "polynomial": c_j = a * (j+1)**(-p) with p > 2.
 
-    ``truncation_lag`` is a lower bound on the working lag L of the two
-    infinite families; L is the smallest lag at or above it with
-    sum_{j>L} |c_j| <= tail_tol * |theta|.  For every family
-    ``truncation_lag`` and L are at most _MAX_LAG: a spec that asks for
-    more is refused here, and one that needs more when materialized.
+    A parameter of another family is refused.  ``truncation_lag`` is a
+    lower bound on the working lag L of the two infinite families; L is
+    the smallest lag at or above it with sum_{j>L} |c_j| <= tail_tol *
+    |theta|.  For every family ``truncation_lag`` and L are at most
+    _MAX_LAG: a spec that asks for more is refused here, and one that
+    needs more when materialized.
     """
 
     family: str = "finite"
@@ -66,10 +70,11 @@ class FilterSpec(Validated):
     tail_tol: float = _DEFAULT_TAIL_TOL
 
     def problems(self) -> list[str]:
-        out = []
         if self.family not in FILTER_FAMILIES:
-            out.append(f"filter family must be one of {FILTER_FAMILIES}, got {self.family!r}")
-            return out
+            return [f"filter family must be one of {FILTER_FAMILIES}, got {self.family!r}"]
+        others = [key for key in ("coeffs", "a", "r", "p") if key not in _READS[self.family]]
+        unread = [key for key in others if getattr(self, key) is not None]
+        out = [f"{self.family} filter does not read {', '.join(unread)}"] if unread else []
         if self.family == "finite":
             if not self.coeffs:
                 out.append("finite filter requires a non-empty coeffs list")

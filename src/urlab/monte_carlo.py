@@ -18,7 +18,7 @@ import numpy as np
 
 from . import brownian
 from .errors import ConfigError, DegenerateRateError, Validated
-from .innovations import InnovationSpec, _standardized, derived_correlation
+from .innovations import InnovationSpec, _scaled_pairs, _standardized
 from .linear_process import (
     Filter,
     FilterSpec,
@@ -35,7 +35,6 @@ STATISTICS = (
     "fpe_stat",
     "norm_est_sq",
     "x_n_sq_over_n",
-    "log_fisher",
 )
 
 _CHUNK = 4096        # most replications per work unit
@@ -182,7 +181,7 @@ def _draws(config: ExperimentConfig, reps: np.ndarray, attempt: int, total: int)
 
 def _path_columns(
     z: np.ndarray,
-    scales: tuple[float, float, float],
+    innovations: InnovationSpec,
     filt_coeffs: np.ndarray,
     beta: float,
     varsigma: float,
@@ -191,18 +190,16 @@ def _path_columns(
     want_ape: bool,
 ) -> dict[int, tuple[dict, np.ndarray]]:
     """{n: (base per-path quantities, degenerate row mask)} at every n of
-    ``grid`` from draws ``z`` (rows, burn + grid[-1] + 1, 2) scaled by
-    (sigma_omega, rho, sigma_theta); the quantities are x_n, beta_hat and
-    s_xx, plus ape and the scored-eps sse when ``want_ape``.
+    ``grid`` from standardized draws ``z`` (rows, burn + grid[-1] + 1, 2)
+    of the ``innovations`` law; the quantities are x_n and beta_hat, plus
+    ape and the scored-eps sse when ``want_ape``.
 
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
     alone (see ``_block_worker`` for the one exception).  Every operation
     acts along axis 1, so row results do not depend on batching.  Scoring
     reuses buffers in place; ``z`` is freed once consumed.
     """
-    s_om, rho, s_th = scales
-    om = s_om * z[:, :, 0]
-    eps = rho * om + s_th * z[:, :, 1]
+    om, eps = _scaled_pairs(innovations, z)
     del z
     xs = fir_rows(filt_coeffs, om[:, :-1])  # eta
     del om
@@ -223,7 +220,7 @@ def _path_columns(
     for n in grid:
         s_xx = uu[:, : n - 1].sum(axis=1)
         safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
-        cols[n].update(beta_hat=uv[:, : n - 1].sum(axis=1) / safe_xx, s_xx=s_xx)
+        cols[n]["beta_hat"] = uv[:, : n - 1].sum(axis=1) / safe_xx
     if want_ape:
         c_xx = np.cumsum(uu, axis=1, out=uu)[:, :-1]  # energy after pairs 1..n-2
         off = ~(c_xx > 0.0)  # no estimate yet to predict the next pair
@@ -243,8 +240,7 @@ def _path_columns(
 def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]:
     """The per-path statistics ``sample_statistics`` returns, derived
     elementwise from the base quantities of ``_path_columns``."""
-    x_n, s_xx = base["x_n"], base["s_xx"]
-    safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
+    x_n = base["x_n"]
     d = base["beta_hat"] - beta
     cols = {"beta_hat_final": base["beta_hat"]}
     cols["norm_est_sq"] = (n * d) ** 2
@@ -252,7 +248,6 @@ def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]
     cols["fpe_stat"] = cols["x_n_sq_over_n"] * cols["norm_est_sq"]
     cols["x_n_sq"] = x_n**2
     cols["n_est_sq"] = n * d**2
-    cols["log_fisher"] = np.where(s_xx > 0.0, np.log(safe_xx) - 2.0 * math.log(n), np.nan)
     if "ape" in base:
         cols["ape"] = base["ape"]
         cols["excess_ape"] = base["ape"] - base["sse"]
@@ -272,8 +267,6 @@ def _block_worker(
 ) -> tuple[dict, dict]:
     """({n: base columns}, {n: resample events}) of the replications in ``block``."""
     burn = stationary_burn_in(config.varsigma)
-    rho, sigma_theta_sq = derived_correlation(config.innovations)
-    scales = (math.sqrt(config.innovations.sigma_omega_sq), rho, math.sqrt(sigma_theta_sq))
     # draws fill in sequence and the FIR, cumsum and AR recursions are causal,
     # so a path at n is a prefix of the path at n_max; but the FIR's per-row
     # np.convolve swaps its operands, and so sums in another order, once the
@@ -291,7 +284,7 @@ def _block_worker(
         retry = []
         for reps, points in todo:
             scored = _path_columns(
-                _draws(config, reps, attempt, burn + points[-1] + 1), scales,
+                _draws(config, reps, attempt, burn + points[-1] + 1), config.innovations,
                 filt.coeffs, config.beta, config.varsigma, burn, points, want_ape,
             )
             for n, (cols, bad) in scored.items():
@@ -357,28 +350,25 @@ def _mean_se(a: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / r)
 
 
-def limit_target(config: ExperimentConfig, statistic: str, n: int) -> float | None:
-    """Asymptotic mean of a statistic at n, if one applies.
+def limit_target(config: ExperimentConfig, statistic: str) -> float | None:
+    """Asymptotic mean of a statistic, if it has one.
 
-    The targets are integrated-regressor limits, so stationary-mode runs
-    get None.
+    The FPE constant is 2 sigma^2 at the unit root and sigma^2 with a
+    stationary regressor; the other targets are integrated-regressor
+    limits.  excess_ape has no finite mean at any n, so it gets None.
     """
+    sigma_sq = config.innovations.sigma_sq
+    if statistic == "fpe_stat":
+        return 2.0 * sigma_sq if config.varsigma == 1.0 else sigma_sq
     if config.varsigma != 1.0:
         return None
-    sigma_sq = config.innovations.sigma_sq
     params = brownian.LimitParams.from_model(
         materialize_filter(config.filter_spec), config.innovations
     )
-    if statistic == "fpe_stat":
-        return 2.0 * sigma_sq
-    if statistic == "excess_ape":
-        return 2.0 * sigma_sq * math.log(n)
     if statistic == "norm_est_sq":
         return brownian.mse_limit_formula(params)
     if statistic == "x_n_sq_over_n":
         return params.lam**2
-    if statistic == "log_fisher":
-        return 2.0 * math.log(n)
     return None
 
 
@@ -387,7 +377,7 @@ def summarize(
 ) -> McSummary:
     """Mean and MC standard error of one statistic's per-path column at n."""
     mean, se = _mean_se(column)
-    target = limit_target(config, statistic, n)
+    target = limit_target(config, statistic)
     return McSummary(
         statistic=statistic,
         n=n,

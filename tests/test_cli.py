@@ -2,9 +2,11 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,49 @@ def test_oversized_lag_refused_at_parse(filter_keys):
     assert "10000000" in exc.value.problems[0]
 
 
+@pytest.mark.parametrize(
+    "filter_keys,unread",
+    [
+        ("family = finite\ncoeffs = 1.0\nr = 0.9\na = 3.0\np = 2.5\n", "a, r, p"),
+        ("family = finite\ncoeffs = 1.0\na = 3.0\n", "a"),
+        ("family = geometric\na = 1.0\nr = 0.5\ncoeffs = 1.0\n", "coeffs"),
+        ("family = geometric\na = 1.0\nr = 0.5\np = 2.5\n", "p"),
+        ("family = polynomial\na = 1.0\np = 2.5\ncoeffs = 1.0, 0.5\n", "coeffs"),
+        ("family = polynomial\na = 1.0\np = 2.5\nr = 0.5\n", "r"),
+    ],
+    ids=["finite-a-r-p", "finite-a", "geometric-coeffs", "geometric-p",
+         "polynomial-coeffs", "polynomial-r"],
+)
+def test_filter_keys_the_family_does_not_read_are_refused(tmp_path, capsys, filter_keys, unread):
+    text = FAST_RUN.replace("family = finite\ncoeffs = 1.0\n", filter_keys)
+    message = f"{filter_keys.split()[2]} filter does not read {unread}"
+    with pytest.raises(ConfigError) as exc:
+        load_run(text)
+    assert exc.value.problems == [message]
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_log_fisher_is_refused_at_parse(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN.replace("statistics = fpe_stat", "statistics = log_fisher"))
+    assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown statistics ['log_fisher']")
+
+
+def test_readme_example_is_the_benchmark_config():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert readme.count("```ini\n") == 1
+    example = readme.split("```ini\n")[1].split("```")[0]
+    bench = (root / "bench" / "configs" / "readme.ini").read_text(encoding="utf-8")
+    assert load_run(example) == load_run(bench)
+
+
 def test_round_trip_identity():
     configs = [
         load_run(MINIMAL)[0],
@@ -121,7 +166,7 @@ def test_round_trip_identity():
             n_grid=(10, 100, 1000),
             reps=55,
             base_seed=99,
-            statistics=("excess_ape", "log_fisher"),
+            statistics=("excess_ape", "x_n_sq_over_n"),
             out_dir="runs/a",
         ),
         ExperimentConfig(
@@ -406,7 +451,10 @@ def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_all_opens_one_pool_for_every_stage(tmp_path, monkeypatch):
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """A serial stand-in for ProcessPoolExecutor that starts no process;
+    returns the lists of pool sizes opened and of unit counts mapped."""
     opened, mapped = [], []
 
     class CountingPool:
@@ -424,10 +472,20 @@ def test_all_opens_one_pool_for_every_stage(tmp_path, monkeypatch):
             mapped.append(len(units))
             return map(fn, units)
 
-    _split_every_stage(monkeypatch)
-    cfg, targets = load_run(SPLIT_RUN)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(streams, "ProcessPoolExecutor", CountingPool)
+    return opened, mapped
+
+
+def _usable_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_all_opens_one_pool_for_every_stage(tmp_path, monkeypatch, counting_pool):
+    opened, mapped = counting_pool
+    _usable_cores(monkeypatch, 2)
+    _split_every_stage(monkeypatch)
+    cfg, targets = load_run(SPLIT_RUN)
     _, manifest = dispatch(
         "all", cfg, targets, out_dir=tmp_path / "o", workers=2, stream=io.StringIO()
     )
@@ -435,6 +493,24 @@ def test_all_opens_one_pool_for_every_stage(tmp_path, monkeypatch):
     # finite blocks, constants batches, limit-check batches
     assert mapped == [4, 3, 10]
     assert "limit_check.json" in manifest.artifacts
+
+
+@pytest.mark.parametrize(
+    "workers,cores,opened",
+    [(1000, 2, [2]), (2, 1, []), (3, 8, [3]), (1, 8, [])],
+)
+def test_run_pool_is_capped_at_the_usable_cores(
+    tmp_path, monkeypatch, counting_pool, workers, cores, opened
+):
+    # a fork-started pool forks all its processes at its first map, so
+    # more than the usable cores would only idle
+    _usable_cores(monkeypatch, cores)
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN)
+    out = tmp_path / "o"
+    assert main(["fpe", str(ini), "--workers", str(workers), "--out", str(out)]) == 0
+    assert counting_pool[0] == opened
+    assert json.loads((out / "manifest.json").read_text())["workers"] == workers
 
 
 @pytest.mark.parametrize(
@@ -502,6 +578,36 @@ def test_targets_out_of_range_rejected_at_parse(tmp_path, capsys, subcommand, se
     assert err.startswith(f"config error: {setting.split()[0]} must be >=")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_unwritable_out_dir_is_a_config_error_before_any_simulation(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before the output directory was made")
+
+    monkeypatch.setattr(monte_carlo, "sample_statistics", never)
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        assert main(["fpe", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_ape_curve_judges_only_the_slope(tmp_path):
+    cfg, targets = load_run(FAST_RUN.replace("n_grid = 200", "n_grid = 50, 100, 200"))
+    sink = io.StringIO()
+    dispatch("ape-curve", cfg, targets, out_dir=tmp_path, stream=sink)
+    checks = [line.split()[0] for line in sink.getvalue().splitlines()[2:-1]]
+    assert checks == ["excess_ape"] and "excess_ape slope" in sink.getvalue()
+    payload = json.loads((tmp_path / "ape_curve.json").read_text())
+    assert payload["target"] == 2.0
+    assert [row["ratio"] for row in payload["grid"]] == [None, None, None]
 
 
 def test_dispatch_writes_deterministic_artifacts(tmp_path):

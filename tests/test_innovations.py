@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urlab import ConfigError, InnovationSpec, derived_correlation, draw_pairs
-from urlab.innovations import _standardized
+from urlab.innovations import _scaled_pairs, _standardized
 from urlab.streams import ROLE_PATH, substream
 
 
@@ -110,3 +110,14 @@ def test_epsilon_independent_of_past_omegas():
     for lag in (1, 2, 5):
         cross = float(np.mean(omega[:-lag] * epsilon[lag:]))
         assert abs(cross) < 0.02
+
+
+def test_batch_engine_and_draw_pairs_share_one_pair_map():
+    # the engine maps (rows, steps, 2) standardized draws at once, and
+    # draw_pairs one path's (steps, 2); both go through _scaled_pairs
+    spec = InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.5, pi=0.7, family="laplace")
+    z = np.stack([_standardized(substream(3, ROLE_PATH, k), spec.family, (50, 2)) for k in range(4)])
+    omega, epsilon = _scaled_pairs(spec, z)
+    for k in range(4):
+        om_k, eps_k = draw_pairs(substream(3, ROLE_PATH, k), spec, 50)
+        assert np.array_equal(omega[k], om_k) and np.array_equal(epsilon[k], eps_k)

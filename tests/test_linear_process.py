@@ -11,7 +11,6 @@ from scipy import signal, special
 import urlab
 from urlab import (
     ConfigError,
-    ExperimentConfig,
     FilterSpec,
     InnovationSpec,
     LimitParams,
@@ -19,7 +18,6 @@ from urlab import (
     decompose,
     generate_path,
     materialize_filter,
-    sample_statistics,
     stationary_burn_in,
 )
 from urlab.linear_process import _AR_LOOP_MAX_WIDTH, ar1_rows, fir_rows
@@ -312,14 +310,3 @@ def test_start_up_imports_no_scipy_until_a_polynomial_filter():
     )
     assert proc.returncode == 0, proc.stderr
 
-
-# ---------------------------------------------------------- diagnostics
-
-def test_log_fisher_bounded_on_unit_root_paths():
-    cfg = ExperimentConfig(
-        filter_spec=RANDOM_WALK, innovations=FULL_CORR, n_grid=(2000,), reps=50,
-        base_seed=13, statistics=("log_fisher",),
-    )
-    diffs = sample_statistics(cfg, (2000,), want_ape=False)[2000]["log_fisher"]
-    # centered growth: log energy tracks 2 log n up to an O(1) spread
-    assert abs(float(np.median(diffs))) < 3.0

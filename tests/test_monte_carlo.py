@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -219,9 +220,7 @@ def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
         rng = substream(77, ROLE_PATH, rep)
         traj = generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma)
         ref = dataclasses.asdict(run_path(traj))
-        xs = traj.x[1:n]
-        ref["log_fisher"] = math.log(np.dot(xs, xs)) - 2.0 * math.log(n)
-        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape", "log_fisher"):
+        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape"):
             assert arrays[key][rep] == pytest.approx(ref[key], rel=1e-10, abs=1e-12)
 
 
@@ -237,23 +236,33 @@ def test_fpe_column_is_exact_product():
 def test_summary_fields_and_ratios():
     cfg = config(
         reps=400, n_grid=(50, 200),
-        statistics=("fpe_stat", "excess_ape", "norm_est_sq", "x_n_sq_over_n", "log_fisher"),
+        statistics=("fpe_stat", "excess_ape", "norm_est_sq", "x_n_sq_over_n"),
     )
     summaries = run(cfg)
-    assert len(summaries) == 10
+    assert len(summaries) == 8
     by = {(s.statistic, s.n): s for s in summaries}
     s = by[("fpe_stat", 200)]
     assert s.reps == 400 and s.seed == 0
     assert s.ratio == pytest.approx(s.mean / 2.0)
-    assert by[("excess_ape", 200)].ratio == pytest.approx(
-        by[("excess_ape", 200)].mean / (2.0 * math.log(200))
-    )
+    # excess_ape has no finite mean at any n, so no target to divide by
+    assert by[("excess_ape", 50)].ratio is None and by[("excess_ape", 200)].ratio is None
     assert by[("x_n_sq_over_n", 200)].ratio == pytest.approx(
         by[("x_n_sq_over_n", 200)].mean
     )  # lambda^2 = 1 for the plain walk
     assert by[("norm_est_sq", 200)].ratio == pytest.approx(
         by[("norm_est_sq", 200)].mean / 13.3
     )
+
+
+def test_limit_target_is_n_free_with_the_fpe_constant_in_both_regimes():
+    assert list(inspect.signature(monte_carlo.limit_target).parameters) == ["config", "statistic"]
+    unit_root = config(innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=3.0, pi=1.0))
+    stationary = dataclasses.replace(unit_root, varsigma=0.5)
+    assert monte_carlo.limit_target(unit_root, "fpe_stat") == 6.0
+    assert monte_carlo.limit_target(stationary, "fpe_stat") == 3.0
+    assert monte_carlo.limit_target(unit_root, "excess_ape") is None
+    for statistic in ("excess_ape", "norm_est_sq", "x_n_sq_over_n"):
+        assert monte_carlo.limit_target(stationary, statistic) is None
 
 
 def test_mc_se_suppressed_for_tiny_runs():

@@ -44,7 +44,7 @@ def test_gaussian_unit_root_grid_with_ape():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "bc719022d534ea73c491e5b46507469b0c091026e5dd5b606cea9bb69b182edb"
+        "433703615a953fa9acc043d304684f6b717869e45f09aa89b458dccbf0f1c9d6"
     )
 
 
@@ -56,7 +56,7 @@ def test_laplace_stationary():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "25662f1ff1c6a83eff6eeeebc2e6013258aa7530e2844933f424365d06733e33"
+        "577e6368848eeee422a76fc0586a423f48db6ba80d822a885227dea2cad3305e"
     )
 
 
@@ -73,7 +73,7 @@ def test_uniform_with_resampled_rows(monkeypatch):
     columns = sample_statistics(cfg, cfg.n_grid)
     assert columns[30]["resampled"][0] > 0
     assert _columns_digest(columns) == (
-        "292aab8e117bba79d33edd9b3afa4d7aae468a6ec195a3670179dd2d8f1f1aa0"
+        "d308445f5ba6975d9cd06fa596b62cdfd1fb9970480dd8ee182671cc63fc47ca"
     )
 
 
