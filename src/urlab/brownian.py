@@ -13,8 +13,15 @@ path whose time integral Q is under the floor (for the constants, at
 either grid) is redrawn from substream(base_seed, role, path index,
 attempt), attempt 1 ... 64, and counted; ResamplePathError ends the run
 if none clears it.  A batch depends on nothing but its key, so
-``streams.map_units`` runs the batches serially or over a process pool,
-and the samplers combine them in batch order.
+``streams.map_units`` runs the batches serially or over a process pool
+(by default one process per usable core), and the samplers combine them
+in batch order.
+
+Within a batch, ``_scored`` draws, sums and scores about ``_TILE_VALUES``
+values at a time in two reused buffers, so a pool process touches about
+2 MiB of fresh memory rather than a whole batch.  Consecutive tiles
+continue the batch's stream and every score reduces along a path, so the
+tile size changes no bit; a redrawn path goes through the same buffers.
 """
 
 from __future__ import annotations
@@ -40,7 +47,11 @@ _TIME_INTEGRAL_FLOOR = 1e-12
 _MAX_RESAMPLE_ATTEMPTS = 64
 
 # Rows per generation batch, sized so a batch stays near 16 MiB of draws.
+# A batch is the stream key: batch b draws from substream(base_seed, role, b).
 _BATCH_VALUES = 1 << 21
+
+# Rows per tile of a batch, sized so a tile stays near 1 MiB of draws.
+_TILE_VALUES = 1 << 17
 
 # Smallest grid estimate_constants accepts.  Q at grid m is a quadratic
 # form in m - 1 Gaussians, so E[Q^-2], which K2's standard error needs, is
@@ -159,26 +170,19 @@ def _divisor(q: np.ndarray) -> np.ndarray:
     return np.where(q < _TIME_INTEGRAL_FLOOR, 1.0, q)
 
 
-def _batch(m: int, width: int, rows: int, reps: int, base_seed: int, role: int, score,
-           batch: int):
+def _batch(m: int, width: int, rows: int, tile: int, reps: int, base_seed: int, role: int,
+           score, batch: int):
     """(values, redrawn) of batch ``batch`` of (rows, m, width) draws, with
     ``score(levels, z)`` -> (Q, values), one value column per path."""
     start = batch * rows
-    scale = math.sqrt(1.0 / m)
-
-    def scored(rng, lev):
-        z = rng.standard_normal((len(lev), m, width))
-        z *= scale
-        np.cumsum(z[:, :, 0], axis=1, out=lev[:, 1:])
-        return score(lev, z)
-
-    levels = _levels(rows, m, threading.get_ident())[: min(rows, reps - start)]
-    q, values = scored(substream(base_seed, role, batch), levels)
+    q, values = _scored(substream(base_seed, role, batch), min(rows, reps - start),
+                        m, width, tile, score)
     redraw = np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]
     for r in redraw:
         index = start + int(r)
         for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
-            q1, new = scored(substream(base_seed, role, index, attempt), np.zeros((1, m + 1)))
+            rng = substream(base_seed, role, index, attempt)
+            q1, new = _scored(rng, 1, m, width, tile, score)
             if q1[0] >= _TIME_INTEGRAL_FLOOR:
                 values[:, r] = new[:, 0]
                 break
@@ -190,20 +194,38 @@ def _batch(m: int, width: int, rows: int, reps: int, base_seed: int, role: int, 
     return values, len(redraw)
 
 
+def _scored(rng, paths: int, m: int, width: int, tile: int, score):
+    """``score`` -> (Q, values) of ``paths`` paths drawn from ``rng``,
+    ``tile`` rows at a time in the thread's reused buffers."""
+    z, levels = _tiles(tile, m, width, threading.get_ident())
+    scale = math.sqrt(1.0 / m)
+    qs, values = [], []
+    for lo in range(0, paths, tile):
+        zt = z[: min(tile, paths - lo)]
+        rng.standard_normal(out=zt)
+        zt *= scale
+        lev = levels[: len(zt)]
+        np.cumsum(zt[:, :, 0], axis=1, out=lev[:, 1:])
+        q, v = score(lev, zt)
+        qs.append(q)
+        values.append(v)
+    return np.concatenate(qs), np.concatenate(values, axis=1)
+
+
 @lru_cache(maxsize=1)
-def _levels(rows: int, m: int, thread: int) -> np.ndarray:
-    """The (rows, m + 1) levels buffer that the batches one thread runs
-    fill in turn, so its pages fault in once; column 0 stays 0.  A fresh
-    buffer per batch cost two pool workers about a third more CPU at
-    criterion 4's shape (m = 4096, 2-core VM)."""
-    return np.zeros((rows, m + 1))
+def _tiles(tile: int, m: int, width: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (tile, m, width) draws and (tile, m + 1) levels buffers that one
+    thread fills in turn, so their pages fault in once; column 0 of the
+    levels stays 0.  Keyed by thread, so no two threads share them."""
+    return np.empty((tile, m, width)), np.zeros((tile, m + 1))
 
 
 def _map_batches(m, width, reps, base_seed, role, score, workers, pool) -> list:
     """[(values, redrawn)] of every batch, in batch order, from
     ``streams.map_units``."""
     rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
-    work = partial(_batch, m, width, rows, reps, base_seed, role, score)
+    tile = min(max(1, _TILE_VALUES // (m * width)), rows)
+    work = partial(_batch, m, width, rows, tile, reps, base_seed, role, score)
     return map_units(work, range(-(-reps // rows)), workers, pool)
 
 
@@ -219,11 +241,11 @@ def _limit_score(p: LimitParams, m: int, lev: np.ndarray, z: np.ndarray):
 
 def limit_sample_batch(
     p: LimitParams, m: int, reps: int, base_seed: int,
-    workers: int = 1, pool: Executor | None = None,
+    workers: int | None = None, pool: Executor | None = None,
 ) -> dict:
     """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts
     redraws.  Batches run serially, over ``pool`` or over up to ``workers``
-    processes, with equal bits."""
+    processes (None: the usable cores), with equal bits."""
     batches = _map_batches(
         m, 2, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers, pool
     )
@@ -272,13 +294,15 @@ class ConstantsReport:
 
 def estimate_constants(
     m: int = 1 << 12, reps: int = 200_000, base_seed: int = 0,
-    workers: int = 1, pool: Executor | None = None,
+    workers: int | None = None, pool: Executor | None = None,
 ) -> ConstantsReport:
     """Monte Carlo estimates of K1 = E[(I/Q)^2] and K2 = E[1/Q].
 
     Paths are simulated once at grid 2m and coarsened to m by summing
     increment pairs (exact in law), so the (m, 2m) refinement gap is a
     matched-path discretization measurement rather than two noisy runs.
+    Batches run as in ``limit_sample_batch``, with equal bits whatever
+    ``workers`` or ``pool``.
     """
     if m < _MIN_CONSTANTS_GRID:
         raise ConfigError([f"grid size m must be >= {_MIN_CONSTANTS_GRID}, got {m}"])

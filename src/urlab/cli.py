@@ -27,8 +27,9 @@ stationary_floor, ks_max) >= 0, and every float must be finite.
 With --workers K a run opens one process pool of min(K, usable cores)
 processes, if that is > 1, and every stage maps its work units over it:
 the finite-n engine's blocks of replications, the constants' Brownian
-batches and the limit-check's Brownian batches.  Each stage reassembles
-its results in index order, so every artifact is byte-identical to a run
+batches and the limit-check's Brownian batches.  Without --workers, K is
+the usable cores; --workers 1 runs serially.  Each stage reassembles its
+results in index order, so every artifact is byte-identical to a run
 with --workers 1; the manifest records K.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -61,6 +61,7 @@ from .errors import ConfigError, DegenerateRateError, ResamplePathError, Validat
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
 from .monte_carlo import ExperimentConfig
+from .streams import usable_cores
 
 @dataclass(frozen=True)
 class Targets(Validated):
@@ -419,7 +420,7 @@ def dispatch(
     config: ExperimentConfig,
     targets: Targets | None = None,
     out_dir: str | Path = "urlab-out",
-    workers: int = 1,
+    workers: int | None = None,
     config_path: str = "<memory>",
     stream=None,
 ) -> tuple[int, RunManifest]:
@@ -437,10 +438,11 @@ def dispatch(
     columns at n never depend on these choices.
 
     ``out_dir`` is created after the gates, before any simulation; an
-    OSError there is a ConfigError.  When min(``workers``, usable cores)
-    > 1 the run opens one process pool of that many processes, hands it to
-    that call and to the constants and limit-check handlers, and closes it
-    on every exit path.  The finite blocks and the Brownian batches map
+    OSError there is a ConfigError.  ``workers`` None means the usable
+    cores, and the manifest records the count.  When min(``workers``,
+    usable cores) > 1 the run opens one process pool of that many
+    processes, hands it to that call and to the constants and limit-check
+    handlers, and closes it on every exit path.  The finite blocks and the Brownian batches map
     over it and are reassembled in index order.
     """
     if subcommand not in SUBCOMMANDS:
@@ -465,7 +467,9 @@ def dispatch(
     # one pool for every stage of the run; it forks all its processes when a
     # stage first maps two or more units over it, so it gets no more than
     # the usable cores
-    procs = min(workers, len(os.sched_getaffinity(0)))
+    cores = usable_cores()
+    workers = cores if workers is None else workers
+    procs = min(workers, cores)
     run_pool = ProcessPoolExecutor(max_workers=procs) if procs > 1 else nullcontext()
     with run_pool as pool:
         columns = {}
@@ -522,7 +526,9 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("config", help="path to an INI experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
-    parser.add_argument("--workers", type=_count, default=1, help="processes, >= 1")
+    parser.add_argument(
+        "--workers", type=_count, default=None, help="processes, >= 1 (default: the usable cores)"
+    )
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
         "--strict", action="store_true", help="exit 1 when any comparison fails"

@@ -305,7 +305,7 @@ def sample_statistics(
     config: ExperimentConfig,
     grid: tuple[int, ...],
     want_ape: bool | None = None,
-    workers: int = 1,
+    workers: int | None = None,
     pool: Executor | None = None,
 ) -> dict[int, dict[str, np.ndarray]]:
     """{n: per-path statistic columns over all replications} for each n of
@@ -315,10 +315,10 @@ def sample_statistics(
     The work units are blocks of consecutive replications, at most
     ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
     runs them serially, over ``pool`` (a run's open process pool) or over
-    a pool of up to ``workers`` processes, and they are reassembled in
-    index order.  The columns at n, ``resampled`` included, are
-    bit-identical to those of a call with grid (n,), whatever the worker
-    count: streams are keyed by replication index.
+    a pool of up to ``workers`` processes (None: the usable cores), and
+    they are reassembled in index order.  The columns at n, ``resampled``
+    included, are bit-identical to those of a call with grid (n,),
+    whatever the worker count: streams are keyed by replication index.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:
@@ -389,7 +389,7 @@ def summarize(
     )
 
 
-def run(config: ExperimentConfig, workers: int = 1) -> list[McSummary]:
+def run(config: ExperimentConfig, workers: int | None = None) -> list[McSummary]:
     """Mean and MC standard error of each requested statistic at each n."""
     columns = sample_statistics(config, config.n_grid, workers=workers)
     return [
@@ -462,7 +462,7 @@ def cross_moment_from(columns: dict, n: int) -> dict:
     }
 
 
-def cross_moment(config: ExperimentConfig, workers: int = 1) -> dict:
+def cross_moment(config: ExperimentConfig, workers: int | None = None) -> dict:
     """Joint vs product-of-marginals moments of (x_n^2/n, n^2(bh-b)^2)
     at the largest n.
 
@@ -491,7 +491,7 @@ def stationary_comparison_from(columns: dict, n: int) -> dict:
     }
 
 
-def stationary_comparison(config: ExperimentConfig, workers: int = 1) -> dict:
+def stationary_comparison(config: ExperimentConfig, workers: int | None = None) -> dict:
     """Joint and product moments of (x_n^2, n(bh-b)^2) in stationary mode
     at the largest n.
 

@@ -19,11 +19,13 @@ falls back to ``substream``.
 
 Since every unit of work is keyed this way, it can run in any process:
 ``map_units`` maps a function over index-ordered units, serially or over
-a process pool, and returns the results in unit order.
+a process pool, and returns the results in unit order.  A worker count
+of None means the usable cores (``usable_cores``).
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
 
@@ -159,16 +161,23 @@ def substreams(
             yield rng
 
 
-def map_units(fn, units, workers: int = 1, pool: Executor | None = None) -> list:
+def usable_cores() -> int:
+    """Cores this process may run on: what a worker count of None means."""
+    return len(os.sched_getaffinity(0))
+
+
+def map_units(fn, units, workers: int | None = None, pool: Executor | None = None) -> list:
     """``[fn(u) for u in units]``, in unit order.
 
     Serial when there is one unit, or when no ``pool`` is given and
-    ``workers`` is 1.  Otherwise the units go to ``pool``, a run's open
-    pool, or to a pool of min(workers, units) processes opened for this
-    call: a pool forks all its processes up front, and more than units
-    would idle.
+    ``workers`` is 1 (None means ``usable_cores()``).  Otherwise the units
+    go to ``pool``, a run's open pool, or to a pool of min(workers, units)
+    processes opened for this call: a pool forks all its processes up
+    front, and more than units would idle.
     """
     units = list(units)
+    if workers is None:
+        workers = usable_cores()
     if len(units) < 2 or (pool is None and workers <= 1):
         return list(map(fn, units))
     if pool is not None:

@@ -7,6 +7,8 @@ pytest run always shows them, captured or not.
 
 import pytest
 
+from urlab import cli, streams
+
 _ACCEPTANCE_LINES: list[str] = []
 
 
@@ -16,6 +18,32 @@ def acceptance_report():
         _ACCEPTANCE_LINES.append(line)
 
     return record
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """A serial stand-in for ProcessPoolExecutor that starts no process;
+    returns the lists of pool sizes opened and of unit counts mapped."""
+    opened, mapped = [], []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            units = list(units)
+            mapped.append(len(units))
+            return map(fn, units)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(streams, "ProcessPoolExecutor", CountingPool)
+    return opened, mapped
 
 
 def pytest_terminal_summary(terminalreporter):

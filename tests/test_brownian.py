@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -234,6 +236,46 @@ def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
     assert (solo["resampled"] > 0) == (floor is not None)
     report = estimate_constants(m=16, reps=200, base_seed=3)
     assert estimate_constants(m=16, reps=200, base_seed=3, workers=2) == report
+
+
+def test_threads_of_one_process_do_not_share_tiles(monkeypatch):
+    # 4 threads, switching often, run 8 batches of 64 paths at grid 256 in
+    # tiles of 5 rows; the draws release the interpreter lock, so threads
+    # sharing tile buffers would overwrite each other's paths
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 64 * 512)
+    monkeypatch.setattr(brownian, "_TILE_VALUES", 5 * 512)
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    solo = limit_sample_batch(p, 256, 512, base_seed=3, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = limit_sample_batch(p, 256, 512, base_seed=3, pool=pool)
+    finally:
+        sys.setswitchinterval(interval)
+    for key in ("fpe_limit_draw", "mse_limit_draw"):
+        assert threaded[key].tobytes() == solo[key].tobytes(), key
+
+
+@pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "redraws"])
+@pytest.mark.parametrize("tile_rows", [1, 7])
+def test_tile_size_does_not_change_bits(monkeypatch, floor, tile_rows):
+    # batches of 30 paths at grid 32 (16 with two columns) are one tile by
+    # default; tiles of one row, or of 7 rows, which do not divide 30, must
+    # give the same bytes, redrawn paths included
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
+    if floor is not None:
+        monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    whole = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
+    report = estimate_constants(m=16, reps=200, base_seed=3, workers=1)
+    monkeypatch.setattr(brownian, "_TILE_VALUES", tile_rows * 32)
+    tiled = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
+    for key in ("fpe_limit_draw", "mse_limit_draw"):
+        assert tiled[key].tobytes() == whole[key].tobytes(), key
+    assert tiled["resampled"] == whole["resampled"]
+    assert (whole["resampled"] > 0) == (floor is not None)
+    assert estimate_constants(m=16, reps=200, base_seed=3, workers=1) == report
 
 
 def test_fpe_draw_mean_near_two_sigma_sq():

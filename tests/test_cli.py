@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from urlab import ConfigError, ExperimentConfig, FilterSpec, InnovationSpec, monte_carlo
-from urlab import brownian, cli, streams
+from urlab import brownian, cli
 from urlab.cli import (
     SUBCOMMANDS,
     Targets,
@@ -442,39 +442,13 @@ def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text(SPLIT_RUN)
     manifests = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        assert main(["all", str(ini), "--workers", workers, "--out", str(out)]) == 0
+    for k, workers in enumerate((["--workers", "1"], ["--workers", "2"], [])):
+        out = tmp_path / f"w{k}"
+        assert main(["all", str(ini), *workers, "--out", str(out)]) == 0
         manifests.append(json.loads((out / "manifest.json").read_text())["artifacts"])
     assert "limit_check.json" in manifests[0] and "constants.json" in manifests[0]
-    assert manifests[1] == manifests[0]
+    assert manifests[1] == manifests[0] and manifests[2] == manifests[0]
     assert multiprocessing.active_children() == []
-
-
-@pytest.fixture
-def counting_pool(monkeypatch):
-    """A serial stand-in for ProcessPoolExecutor that starts no process;
-    returns the lists of pool sizes opened and of unit counts mapped."""
-    opened, mapped = [], []
-
-    class CountingPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, units):
-            units = list(units)
-            mapped.append(len(units))
-            return map(fn, units)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(streams, "ProcessPoolExecutor", CountingPool)
-    return opened, mapped
 
 
 def _usable_cores(monkeypatch, count):
@@ -511,6 +485,19 @@ def test_run_pool_is_capped_at_the_usable_cores(
     assert main(["fpe", str(ini), "--workers", str(workers), "--out", str(out)]) == 0
     assert counting_pool[0] == opened
     assert json.loads((out / "manifest.json").read_text())["workers"] == workers
+
+
+@pytest.mark.parametrize("cores,opened", [(2, [2]), (1, [])])
+def test_run_pool_defaults_to_the_usable_cores(
+    tmp_path, monkeypatch, counting_pool, cores, opened
+):
+    _usable_cores(monkeypatch, cores)
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN)
+    out = tmp_path / "o"
+    assert main(["fpe", str(ini), "--out", str(out)]) == 0
+    assert counting_pool[0] == opened
+    assert json.loads((out / "manifest.json").read_text())["workers"] == cores
 
 
 @pytest.mark.parametrize(

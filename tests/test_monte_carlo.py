@@ -22,7 +22,7 @@ from urlab import (
     sample_statistics,
     stationary_comparison,
 )
-from urlab import monte_carlo, streams
+from urlab import monte_carlo
 from urlab.linear_process import _AR_LOOP_MAX_WIDTH, stationary_burn_in
 from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
@@ -91,28 +91,12 @@ def test_arrays_independent_of_worker_count(monkeypatch):
         assert np.array_equal(solo[key], duo[key])
 
 
-def test_pool_opens_no_more_workers_than_chunks(monkeypatch):
-    opened = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
+def test_pool_opens_no_more_workers_than_chunks(monkeypatch, counting_pool):
     monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
     cfg = config(reps=100, n_grid=(50,))
-    solo = sample_statistics(cfg, (50,))[50]
-    monkeypatch.setattr(streams, "ProcessPoolExecutor", SerialPool)
+    solo = sample_statistics(cfg, (50,), workers=1)[50]
     pooled = sample_statistics(cfg, (50,), workers=64)[50]
-    assert opened == [3]
+    assert counting_pool[0] == [3]
     for key, col in solo.items():
         assert pooled[key].tobytes() == col.tobytes(), key
 

@@ -1,7 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
-from urlab import streams
+from urlab import (
+    ExperimentConfig,
+    FilterSpec,
+    InnovationSpec,
+    LimitParams,
+    brownian,
+    estimate_constants,
+    limit_sample_batch,
+    monte_carlo,
+    sample_statistics,
+    streams,
+)
 from urlab.streams import ROLE_BM, ROLE_CONSTANTS, ROLE_PATH, substream, substreams
 
 WORD = 2**32
@@ -57,3 +70,31 @@ def test_negative_key_fails_as_substream_does():
         next(substreams(-1, ROLE_PATH, np.arange(3)))
     with pytest.raises(ValueError, match="non-negative"):
         substream(-1, ROLE_PATH, 0)
+
+
+def _run_each_engine(workers=None) -> None:
+    # 3 finite blocks of 40 reps; 7 Brownian batches of 30 paths in each sampler
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
+        innovations=InnovationSpec(pi=1.0),
+        beta=1.0,
+        n_grid=(50,),
+        reps=100,
+        base_seed=0,
+        statistics=("fpe_stat",),
+    )
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    sample_statistics(cfg, (50,), workers=workers)
+    estimate_constants(m=16, reps=200, base_seed=3, workers=workers)
+    limit_sample_batch(p, 16, 200, base_seed=3, workers=workers)
+
+
+@pytest.mark.parametrize("cores,opened", [(2, [2, 2, 2]), (1, []), (8, [3, 7, 7])])
+def test_workers_default_to_the_usable_cores(monkeypatch, counting_pool, cores, opened):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
+    _run_each_engine()
+    assert counting_pool[0] == opened
+    _run_each_engine(workers=1)
+    assert counting_pool[0] == opened
