@@ -277,7 +277,7 @@ def _grid_rows(summaries, target, floor, se_mult):
     ]
 
 
-def _run_fpe(config, targets, columns, pool):
+def _run_fpe(config, targets, columns, parallel):
     summaries = _grid_summaries(config, "fpe_stat", columns)
     target = monte_carlo.limit_target(config, "fpe_stat")
     rows = _grid_rows(summaries, target, targets.fpe_floor, targets.se_mult)
@@ -289,7 +289,7 @@ def _run_fpe(config, targets, columns, pool):
     return rows, rows[-1]["passed"], files
 
 
-def _run_ape(config, targets, columns, pool):
+def _run_ape(config, targets, columns, parallel):
     summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
     # the paper's claim: APE grows per log n by the FPE constant; excess_ape
@@ -304,7 +304,7 @@ def _run_ape(config, targets, columns, pool):
     return rows, rows[0]["passed"], files
 
 
-def _run_mse(config, targets, columns, pool):
+def _run_mse(config, targets, columns, parallel):
     summaries = _grid_summaries(config, "norm_est_sq", columns)
     target = monte_carlo.limit_target(config, "norm_est_sq")
     rows = _grid_rows(summaries, target, targets.mse_floor, targets.se_mult)
@@ -315,9 +315,9 @@ def _run_mse(config, targets, columns, pool):
     return rows, rows[-1]["passed"], files
 
 
-def _run_constants(config, targets, columns, pool):
+def _run_constants(config, targets, columns, parallel):
     report = brownian.estimate_constants(
-        m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed, pool=pool
+        m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed, **parallel
     )
     rows = [
         _row(f"{est.name} ({what})", est.value, canon.value, _band(floor, est.se, targets.se_mult))
@@ -340,7 +340,7 @@ def _contrast_rows(out, joint, product, se_mult):
     ]
 
 
-def _run_cross(config, targets, columns, pool):
+def _run_cross(config, targets, columns, parallel):
     n = config.n_grid[-1]
     out = monte_carlo.cross_moment_from(columns[n], n)
     target = partial(monte_carlo.limit_target, config)
@@ -355,7 +355,7 @@ def _run_cross(config, targets, columns, pool):
     return rows, all(r["passed"] for r in rows), {"cross_moment.json": out}
 
 
-def _run_stationary(config, targets, columns, pool):
+def _run_stationary(config, targets, columns, parallel):
     n = config.n_grid[-1]
     out = monte_carlo.stationary_comparison_from(columns[n], n)
     # both moments tend to the stationary FPE constant
@@ -365,12 +365,12 @@ def _run_stationary(config, targets, columns, pool):
     return rows, all(r["passed"] for r in rows), {"stationary.json": out}
 
 
-def _run_limit_check(config, targets, columns, pool):
+def _run_limit_check(config, targets, columns, parallel):
     n = config.n_grid[-1]
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     draws = brownian.limit_sample_batch(
-        params, 1 << targets.m_log2, targets.limit_reps, config.base_seed, pool=pool
+        params, 1 << targets.m_log2, targets.limit_reps, config.base_seed, **parallel
     )
     ks = monte_carlo.limit_distribution_check(columns[n]["fpe_stat"], draws["fpe_limit_draw"])
     rows = [_row(f"KS(finite n={n}, limit law)", ks, 0.0, targets.ks_max)]
@@ -387,9 +387,9 @@ def _run_limit_check(config, targets, columns, pool):
     return rows, rows[0]["passed"], files
 
 
-# Each handler maps (config, targets, {n: columns}, the run's process pool
-# or None) to (rows, passed, {file name: payload}) and writes nothing;
-# dispatch writes every file.
+# Each handler maps (config, targets, {n: columns}, the run's parallelism
+# as workers and pool keywords) to (rows, passed, {file name: payload})
+# and writes nothing; dispatch writes every file.
 _HANDLERS = {
     "fpe": _run_fpe,
     "ape-curve": _run_ape,
@@ -442,8 +442,9 @@ def dispatch(
     cores, and the manifest records the count.  When min(``workers``,
     usable cores) > 1 the run opens one process pool of that many
     processes, hands it to that call and to the constants and limit-check
-    handlers, and closes it on every exit path.  The finite blocks and the Brownian batches map
-    over it and are reassembled in index order.
+    handlers, and closes it on every exit path; otherwise every stage runs
+    serially.  The finite blocks and the Brownian batches map over the
+    pool and are reassembled in index order.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
@@ -472,11 +473,14 @@ def dispatch(
     procs = min(workers, cores)
     run_pool = ProcessPoolExecutor(max_workers=procs) if procs > 1 else nullcontext()
     with run_pool as pool:
+        # every stage gets the resolved count, so none falls back to the
+        # engines' default of the usable cores
+        parallel = {"workers": procs, "pool": pool}
         columns = {}
         if runs:
             grid = config.n_grid if {"fpe", "ape-curve", "mse"} & runs else config.n_grid[-1:]
             columns = monte_carlo.sample_statistics(
-                config, grid, want_ape="ape-curve" in runs, pool=pool
+                config, grid, want_ape="ape-curve" in runs, **parallel
             )
         failures = 0
         artifacts: dict[str, str] = {}
@@ -485,7 +489,7 @@ def dispatch(
                 print(f"== {name} ==", file=stream)
                 print(f"{name}: skipped ({skipped[name]})", file=stream)
                 continue
-            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns, pool)
+            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns, parallel)
             for file_name, payload in files.items():
                 csv = file_name.endswith(".csv")
                 write = reporting.write_summary_csv if csv else reporting.write_json

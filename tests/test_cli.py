@@ -487,6 +487,18 @@ def test_run_pool_is_capped_at_the_usable_cores(
     assert json.loads((out / "manifest.json").read_text())["workers"] == workers
 
 
+def test_workers_1_runs_every_stage_serially(tmp_path, monkeypatch, counting_pool):
+    # no stage may fall back to the engines' default of the usable cores
+    _usable_cores(monkeypatch, 8)
+    _split_every_stage(monkeypatch)
+    ini = tmp_path / "run.ini"
+    ini.write_text(SPLIT_RUN)
+    out = tmp_path / "o"
+    assert main(["all", str(ini), "--workers", "1", "--out", str(out)]) == 0
+    assert counting_pool == ([], [])
+    assert "limit_check.json" in json.loads((out / "manifest.json").read_text())["artifacts"]
+
+
 @pytest.mark.parametrize("cores,opened", [(2, [2]), (1, [])])
 def test_run_pool_defaults_to_the_usable_cores(
     tmp_path, monkeypatch, counting_pool, cores, opened
