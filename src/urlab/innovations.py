@@ -81,12 +81,21 @@ def _standardized(rng: np.random.Generator, family: str, size) -> np.ndarray:
     raise ConfigError([f"family must be one of {FAMILIES}, got {family!r}"])
 
 
-def _scaled_pairs(spec: InnovationSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_pairs(
+    spec: InnovationSpec, z: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(omega, epsilon) from standardized draws z[..., 0:2]: omega scales
-    the first, and epsilon adds rho * omega to the scaled second."""
+    the first, and epsilon adds rho * omega to the scaled second.  Given
+    ``out``, two buffers shaped like z[..., 0], it writes omega and epsilon
+    there and scales z[..., 1] in place, so it allocates nothing."""
     rho, sigma_theta_sq = derived_correlation(spec)
-    omega = math.sqrt(spec.sigma_omega_sq) * z[..., 0]
-    epsilon = rho * omega + math.sqrt(sigma_theta_sq) * z[..., 1]
+    omega, epsilon = out or (None, None)
+    omega = np.multiply(z[..., 0], math.sqrt(spec.sigma_omega_sq), out=omega)
+    theta = np.multiply(
+        z[..., 1], math.sqrt(sigma_theta_sq), out=None if out is None else z[..., 1]
+    )
+    epsilon = np.multiply(omega, rho, out=epsilon)
+    epsilon += theta
     return omega, epsilon
 
 

@@ -192,26 +192,30 @@ def _check_theta(theta: float) -> None:
         raise ConfigError([f"filter sums to zero: |theta| = {abs(theta):.3g} < {_THETA_FLOOR}"])
 
 
-def fir_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def fir_rows(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each row of ``x`` (rows, width) through the FIR filter ``coeffs``:
     ``signal.lfilter(coeffs, [1.0], x, axis=1)`` bit for bit.
 
-    scipy convolves row by row into a zeroed (rows, width + taps - 1)
-    buffer and returns its first ``width`` columns; this does the same.
-    Keep that layout: a contiguous (rows, width) output raised peak RSS
-    on the 27-tap grid by about half, through glibc's mmap threshold.
-    One tap is an exact scaling, done for all rows at once; ``+= 0.0``
-    turns -0.0 into +0.0 as ``np.convolve``'s zero-started sums do.
+    The result is the top-left (rows, width) view of ``out``, a buffer of
+    at least that size that may be ``x``'s own: each row is convolved
+    whole before it is written.  Without ``out`` the buffer is scipy's, a
+    zeroed (rows, width + taps - 1) one.  That layout kept peak RSS down
+    through glibc's mmap threshold while the engine filtered whole blocks;
+    it now passes a reused tile buffer instead.  One tap is an exact
+    scaling, done for all rows at once; ``+= 0.0`` turns -0.0 into +0.0
+    as ``np.convolve``'s zero-started sums do.
     """
     rows, width = x.shape
-    out = np.zeros((rows, width + len(coeffs) - 1))
+    if out is None:
+        out = np.zeros((rows, width + len(coeffs) - 1))
+    out = out[:rows, :width]
     if len(coeffs) == 1:
         np.multiply(x, coeffs[0], out=out)
         out += 0.0
     else:
         for dest, row in zip(out, x):
-            dest[:] = np.convolve(coeffs, row)
-    return out[:, :width]
+            dest[:] = np.convolve(coeffs, row)[:width]
+    return out
 
 
 # The time loop costs one pair of numpy calls per column however few rows

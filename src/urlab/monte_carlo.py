@@ -10,9 +10,11 @@ keep reductions deterministic too.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Iterator
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -37,8 +39,10 @@ STATISTICS = (
     "x_n_sq_over_n",
 )
 
-_CHUNK = 4096        # most replications per work unit
-_ROW_VALUES = 1 << 22  # float budget per work unit's draws
+# Work units only: a block is worked in tiles of about
+# brownian._TILE_VALUES draws, so these bound no buffer.
+_CHUNK = 4096          # most replications per work unit
+_ROW_VALUES = 1 << 22  # draws per work unit
 
 MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
@@ -165,22 +169,41 @@ def _degenerate_mask(u: np.ndarray) -> np.ndarray:
 
     A path is usable only if some regressor before the final pair is
     nonzero; otherwise the estimate either never exists or exists too
-    late to predict anything.
+    late to predict anything.  x_1 is nonzero on almost every row, so
+    only the rows where it is 0 read further.
     """
-    return ~np.any(u[:, :-1] != 0.0, axis=1)
+    bad = u[:, 0] == 0.0
+    if bad.any():
+        bad[bad] = ~np.any(u[bad, 1:-1] != 0.0, axis=1)
+    return bad
 
 
-def _draws(config: ExperimentConfig, reps: np.ndarray, attempt: int, total: int) -> np.ndarray:
-    """Standardized (omega, theta) draws, one keyed stream per replication."""
-    z = np.empty((len(reps), total, 2))
-    streams = substreams(config.base_seed, ROLE_PATH, reps, attempt)
-    for k, rng in enumerate(streams):
-        z[k] = _standardized(rng, config.innovations.family, (total, 2))
+@lru_cache(maxsize=1)
+def _workspace(tile: int, width: int, thread: int) -> tuple[np.ndarray, ...]:
+    """The buffers one thread fills for each tile of ``tile`` rows of
+    ``width`` steps, so their pages fault in once: the (tile, width, 2)
+    draws, five (tile, width) float buffers (omega, epsilon and three for
+    scoring) and a (tile, width) bool mask.  Keyed by thread, as
+    ``brownian._tiles``, so no two threads share them."""
+    floats = np.empty((5, tile, width))
+    return np.empty((tile, width, 2)), *floats, np.empty((tile, width), dtype=bool)
+
+
+def _draws(streams: Iterator[np.random.Generator], family: str, z: np.ndarray) -> np.ndarray:
+    """Fill each row of ``z`` (rows, steps, 2) with standardized draws of
+    ``family`` from the next generator of ``streams``, one keyed stream
+    per replication; a Gaussian row is drawn into place."""
+    for row, rng in zip(z, streams):
+        if family == "gaussian":
+            rng.standard_normal(out=row)
+        else:
+            row[...] = _standardized(rng, family, row.shape)
     return z
 
 
 def _path_columns(
     z: np.ndarray,
+    work: tuple[np.ndarray, ...],
     innovations: InnovationSpec,
     filt_coeffs: np.ndarray,
     beta: float,
@@ -196,15 +219,17 @@ def _path_columns(
 
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
     alone (see ``_block_worker`` for the one exception).  Every operation
-    acts along axis 1, so row results do not depend on batching.  Scoring
-    reuses buffers in place; ``z`` is freed once consumed.
+    acts along axis 1, so row results do not depend on batching or
+    tiling.  ``z`` is consumed, and every path-length array is a view of
+    ``work``, the float buffers and bool mask of ``_workspace``, at least
+    z's rows and steps in size: no step allocates one.
     """
-    om, eps = _scaled_pairs(innovations, z)
-    del z
-    xs = fir_rows(filt_coeffs, om[:, :-1])  # eta
-    del om
+    rows, total = z.shape[:2]
+    om, eps, uu, uv, e2, flags = (buf[:rows, :total] for buf in work)
+    _scaled_pairs(innovations, z, out=(om, eps))
+    xs = fir_rows(filt_coeffs, om[:, :-1], out=om)  # eta, over omega
     if varsigma == 1.0:
-        xs = np.cumsum(xs, axis=1, out=xs)
+        np.cumsum(xs, axis=1, out=xs)
     else:
         xs = ar1_rows(xs, varsigma)
     n_max = grid[-1]
@@ -212,18 +237,19 @@ def _path_columns(
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
     bad = {n: _degenerate_mask(u[:, : n - 1]) for n in grid}
     if want_ape:
-        e2 = eps[:, burn + 2 : burn + n_max] ** 2  # scored eps_3 .. eps_n
+        e2 = np.square(eps[:, burn + 2 : burn + n_max], out=e2[:, : n_max - 2])  # eps_3 .. eps_n
     v = eps[:, burn + 1 : burn + n_max]  # pair responses y_2 .. y_n, in place
-    v += beta * u
-    uu = u * u
-    uv = u * v
+    v += np.multiply(u, beta, out=uu[:, : n_max - 1])
+    uu = np.multiply(u, u, out=uu[:, : n_max - 1])
+    uv = np.multiply(u, v, out=uv[:, : n_max - 1])
     for n in grid:
         s_xx = uu[:, : n - 1].sum(axis=1)
         safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
         cols[n]["beta_hat"] = uv[:, : n - 1].sum(axis=1) / safe_xx
     if want_ape:
         c_xx = np.cumsum(uu, axis=1, out=uu)[:, :-1]  # energy after pairs 1..n-2
-        off = ~(c_xx > 0.0)  # no estimate yet to predict the next pair
+        off = flags[:, : n_max - 2]  # no estimate yet to predict the next pair
+        np.logical_not(np.greater(c_xx, 0.0, out=off), out=off)
         np.copyto(c_xx, 1.0, where=off)
         err = np.cumsum(uv, axis=1, out=uv)[:, :-1]
         np.divide(err, c_xx, out=err)  # running beta_hat
@@ -263,9 +289,10 @@ def _rate_error(failures: int, where: str) -> DegenerateRateError:
 
 def _block_worker(
     config: ExperimentConfig, filt: Filter, grid: tuple[int, ...], want_ape: bool,
-    max_failures: float, block: range,
+    max_failures: float, tile: int, block: range,
 ) -> tuple[dict, dict]:
-    """({n: base columns}, {n: resample events}) of the replications in ``block``."""
+    """({n: base columns}, {n: resample events}) of the replications in
+    ``block``, drawn and scored ``tile`` rows at a time."""
     burn = stationary_burn_in(config.varsigma)
     # draws fill in sequence and the FIR, cumsum and AR recursions are causal,
     # so a path at n is a prefix of the path at n_max; but the FIR's per-row
@@ -273,6 +300,7 @@ def _block_worker(
     # row is no longer than the taps, so such a short n gets a pass of its own
     passes = [(n,) for n in grid[:-1] if burn + n <= len(filt.coeffs)]
     passes.append(grid[len(passes):])
+    z, *work = _workspace(tile, burn + grid[-1] + 1, threading.get_ident())
 
     out: dict[int, dict[str, np.ndarray]] = {}
     failures = dict.fromkeys(grid, 0)
@@ -283,20 +311,30 @@ def _block_worker(
     while todo:
         retry = []
         for reps, points in todo:
-            scored = _path_columns(
-                _draws(config, reps, attempt, burn + points[-1] + 1), config.innovations,
-                filt.coeffs, config.beta, config.varsigma, burn, points, want_ape,
-            )
-            for n, (cols, bad) in scored.items():
-                if n not in out:
-                    out[n] = {name: np.empty(len(block)) for name in cols}
-                for name, col in cols.items():
-                    out[n][name][reps[~bad] - block.start] = col[~bad]
-                failures[n] += int(bad.sum())
+            # seeded once for all the tiles, which take the streams in turn
+            streams = substreams(config.base_seed, ROLE_PATH, reps, attempt)
+            total = burn + points[-1] + 1
+            redraw = {n: [] for n in points}
+            for lo in range(0, len(reps), tile):
+                rows = reps[lo : lo + tile]
+                scored = _path_columns(
+                    _draws(streams, config.innovations.family, z[: len(rows), :total]), work,
+                    config.innovations, filt.coeffs, config.beta, config.varsigma, burn,
+                    points, want_ape,
+                )
+                for n, (cols, bad) in scored.items():
+                    if n not in out:
+                        out[n] = {name: np.empty(len(block)) for name in cols}
+                    for name, col in cols.items():
+                        out[n][name][rows[~bad] - block.start] = col[~bad]
+                    redraw[n].append(rows[bad])
+            for n, parts in redraw.items():
+                bad_reps = np.concatenate(parts)
+                failures[n] += len(bad_reps)
                 if failures[n] > max_failures:
                     raise _rate_error(failures[n], f"at n={n}")
-                if bad.any():
-                    retry.append((reps[bad], (n,)))
+                if len(bad_reps):
+                    retry.append((bad_reps, (n,)))
         todo, attempt = retry, attempt + 1
     return out, failures
 
@@ -316,18 +354,23 @@ def sample_statistics(
     ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
     runs them serially, over ``pool`` (a run's open process pool) or over
     a pool of up to ``workers`` processes (None: the usable cores), and
-    they are reassembled in index order.  The columns at n, ``resampled``
-    included, are bit-identical to those of a call with grid (n,),
-    whatever the worker count: streams are keyed by replication index.
+    they are reassembled in index order.  Each block is worked in tiles of
+    about ``brownian._TILE_VALUES`` draws, sized once here from the widest
+    path, in one reused workspace per process and thread, so a process
+    touches a few MiB of fresh memory, not a block's 100 MiB.  The
+    columns at n, ``resampled`` included, are bit-identical to those of a
+    call with grid (n,), whatever the worker count or tile size: streams
+    are keyed by replication index.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:
         want_ape = "excess_ape" in config.statistics
     filt = materialize_filter(config.filter_spec)
     max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
-    work = partial(_block_worker, config, filt, grid, want_ape, max_failures)
     width = stationary_burn_in(config.varsigma) + grid[-1] + 1
     rows = min(_CHUNK, max(4, _ROW_VALUES // (2 * width)))
+    tile = min(rows, max(1, brownian._TILE_VALUES // (2 * width)))
+    work = partial(_block_worker, config, filt, grid, want_ape, max_failures, tile)
     blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
     results = map_units(work, blocks, workers, pool)
     merged = {}

@@ -256,6 +256,16 @@ def test_fir_rows_match_lfilter_bit_for_bit(taps, width):
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
     # scipy's buffer layout, which keeps peak RSS where it was
     assert got.base.shape == (5, width + taps - 1)
+    # a reused buffer wider than needed, as the engine's tiles pass, first
+    # holding NaN and then the last result; and one that aliases x itself
+    buf = np.full((7, width + taps + 3), np.nan)
+    for _ in range(2):
+        into = fir_rows(coeffs, x, out=buf)
+        assert np.shares_memory(into, buf)
+        assert into.tobytes() == np.ascontiguousarray(want).tobytes()
+    buf[:5, : width + 1] = x.base
+    into = fir_rows(coeffs, buf[:5, :width], out=buf)
+    assert into.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("varsigma", [0.5, -0.9, 0.0])

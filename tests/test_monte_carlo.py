@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from urlab import (
     sample_statistics,
     stationary_comparison,
 )
-from urlab import monte_carlo
+from urlab import brownian, monte_carlo
 from urlab.linear_process import _AR_LOOP_MAX_WIDTH, stationary_burn_in
 from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
 FULL_CORR = InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=1.0)
+README_FILTER = FilterSpec(family="geometric", a=1.0, r=0.5)  # 27 taps
 
 
 def config(**kw) -> ExperimentConfig:
@@ -73,13 +75,70 @@ def test_run_is_deterministic():
     assert run(cfg) == run(cfg)
 
 
-def test_arrays_independent_of_chunking(monkeypatch):
-    cfg = config(reps=130, n_grid=(60,), statistics=("fpe_stat", "excess_ape"))
-    base = sample_statistics(cfg, (60,))[60]
+CHUNKING_CASES = {
+    # 27 taps: n = 20 is no longer than the filter, so it has a pass of its own
+    "short-pass": dict(filter_spec=README_FILTER, n_grid=(20, 60),
+                       innovations=InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5)),
+    "laplace-stationary": dict(filter_spec=FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),
+                               innovations=InnovationSpec(pi=0.3, family="laplace"),
+                               varsigma=0.5, n_grid=(30, 60)),
+    # about a quarter of the rows flagged at every attempt, so redraws are tiled too
+    "uniform-retries": dict(innovations=InnovationSpec(pi=0.6, family="uniform"),
+                            n_grid=(30, 60)),
+}
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1, 3])
+@pytest.mark.parametrize("case", sorted(CHUNKING_CASES))
+def test_arrays_independent_of_chunking(monkeypatch, case, tile_rows):
+    if case == "uniform-retries":
+        monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
+        monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: u[:, 0] > 0.8)
+    cfg = config(reps=130, statistics=("fpe_stat", "excess_ape"), **CHUNKING_CASES[case])
+    # one block in one tile
+    base = sample_statistics(cfg, cfg.n_grid, workers=1)
+    # blocks of 17 rows, in tiles of 17, 1 or 3 rows (17 = 5 * 3 + 2)
     monkeypatch.setattr(monte_carlo, "_CHUNK", 17)
-    chunked = sample_statistics(cfg, (60,))[60]
-    for key in ("fpe_stat", "norm_est_sq", "excess_ape"):
-        assert np.array_equal(base[key], chunked[key])
+    if tile_rows is not None:
+        width = stationary_burn_in(cfg.varsigma) + cfg.n_grid[-1] + 1
+        monkeypatch.setattr(brownian, "_TILE_VALUES", 2 * width * tile_rows)
+    chunked = sample_statistics(cfg, cfg.n_grid, workers=1)
+    if case == "uniform-retries":
+        assert base[30]["resampled"][0] > 0
+    for n, cols in base.items():
+        assert cols.keys() == chunked[n].keys()
+        for key, col in cols.items():
+            assert chunked[n][key].tobytes() == col.tobytes(), (n, key)
+
+
+def test_first_call_allocates_about_a_tile_not_a_block():
+    # criterion 3's widest path; with whole blocks of 65 rows this peaked
+    # at 80 MiB, and tiles of 2 rows in one workspace take about 4 MiB
+    cfg = config(filter_spec=README_FILTER, n_grid=(500, 32000), reps=64,
+                 innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+                 statistics=("fpe_stat", "excess_ape"))
+    monte_carlo._workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        sample_statistics(cfg, cfg.n_grid, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("width", [2, 3, 6])
+def test_degenerate_mask_matches_its_definition(width):
+    # a row is degenerate when every regressor before the final pair is 0
+    u = np.random.default_rng(width).standard_normal((8, width))
+    u[1] = 0.0
+    u[2, :-1] = 0.0
+    u[3, 0] = 0.0
+    u[4, : width - 2] = -0.0
+    u[5, 0] = np.nan
+    want = ~np.any(u[:, :-1] != 0.0, axis=1)
+    assert want[1] and want[2] and not want[0]
+    assert np.array_equal(monte_carlo._degenerate_mask(u), want)
 
 
 def test_arrays_independent_of_worker_count(monkeypatch):
