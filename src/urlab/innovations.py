@@ -85,17 +85,14 @@ def _scaled_pairs(
     spec: InnovationSpec, z: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(omega, epsilon) from standardized draws z[..., 0:2]: omega scales
-    the first, and epsilon adds rho * omega to the scaled second.  Given
-    ``out``, two buffers shaped like z[..., 0], it writes omega and epsilon
-    there and scales z[..., 1] in place, so it allocates nothing."""
+    the first, and epsilon adds rho * omega to the scaled second.  z[..., 1]
+    is scaled in place; given ``out``, two buffers shaped like z[..., 0],
+    omega and epsilon are written there, so nothing is allocated."""
     rho, sigma_theta_sq = derived_correlation(spec)
     omega, epsilon = out or (None, None)
     omega = np.multiply(z[..., 0], math.sqrt(spec.sigma_omega_sq), out=omega)
-    theta = np.multiply(
-        z[..., 1], math.sqrt(sigma_theta_sq), out=None if out is None else z[..., 1]
-    )
     epsilon = np.multiply(omega, rho, out=epsilon)
-    epsilon += theta
+    epsilon += np.multiply(z[..., 1], math.sqrt(sigma_theta_sq), out=z[..., 1])
     return omega, epsilon
 
 
