@@ -17,25 +17,24 @@ if none clears it.  A batch depends on nothing but its key, so
 (by default one process per usable core), and the samplers combine them
 in batch order.
 
-Within a batch, ``_scored`` draws, sums and scores about ``_TILE_VALUES``
-values at a time in two reused buffers, so a pool process touches about
-2 MiB of fresh memory rather than a whole batch.  Consecutive tiles
-continue the batch's stream and every score reduces along a path, so the
-tile size changes no bit; a redrawn path goes through the same buffers.
+Within a batch, ``_scored`` draws, sums and scores one tile of
+``streams.tile_rows`` at a time in the thread's two reused
+``streams.tile_buffers``.  Consecutive tiles continue the batch's
+stream and every score reduces along a path, so the tile size changes no
+bit; a redrawn path goes through the same buffers.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, ResamplePathError, Validated
-from .streams import ROLE_BM, ROLE_CONSTANTS, map_units, substream
+from .streams import ROLE_BM, ROLE_CONSTANTS, map_units, substream, tile_buffers, tile_rows
 
 # Time integrals below this are degenerate: the exact event has probability
 # zero, so reaching the floor is a float pathology, and the path is redrawn.
@@ -49,9 +48,6 @@ _MAX_RESAMPLE_ATTEMPTS = 64
 # Rows per generation batch, sized so a batch stays near 16 MiB of draws.
 # A batch is the stream key: batch b draws from substream(base_seed, role, b).
 _BATCH_VALUES = 1 << 21
-
-# Rows per tile of a batch, sized so a tile stays near 1 MiB of draws.
-_TILE_VALUES = 1 << 17
 
 # Smallest grid estimate_constants accepts.  Q at grid m is a quadratic
 # form in m - 1 Gaussians, so E[Q^-2], which K2's standard error needs, is
@@ -197,7 +193,7 @@ def _batch(m: int, width: int, rows: int, tile: int, reps: int, base_seed: int, 
 def _scored(rng, paths: int, m: int, width: int, tile: int, score):
     """``score`` -> (Q, values) of ``paths`` paths drawn from ``rng``,
     ``tile`` rows at a time in the thread's reused buffers."""
-    z, levels = _tiles(tile, m, width, threading.get_ident())
+    z, levels = tile_buffers(((tile, m, width), float), ((tile, m + 1), float))
     scale = math.sqrt(1.0 / m)
     qs, values = [], []
     for lo in range(0, paths, tile):
@@ -205,6 +201,7 @@ def _scored(rng, paths: int, m: int, width: int, tile: int, score):
         rng.standard_normal(out=zt)
         zt *= scale
         lev = levels[: len(zt)]
+        lev[:, 0] = 0.0
         np.cumsum(zt[:, :, 0], axis=1, out=lev[:, 1:])
         q, v = score(lev, zt)
         qs.append(q)
@@ -212,20 +209,11 @@ def _scored(rng, paths: int, m: int, width: int, tile: int, score):
     return np.concatenate(qs), np.concatenate(values, axis=1)
 
 
-@lru_cache(maxsize=1)
-def _tiles(tile: int, m: int, width: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (tile, m, width) draws and (tile, m + 1) levels buffers that one
-    thread fills in turn, so their pages fault in once; column 0 of the
-    levels stays 0.  Keyed by thread, so no two threads share them."""
-    return np.empty((tile, m, width)), np.zeros((tile, m + 1))
-
-
 def _map_batches(m, width, reps, base_seed, role, score, workers, pool) -> list:
     """[(values, redrawn)] of every batch, in batch order, from
     ``streams.map_units``."""
     rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
-    tile = min(max(1, _TILE_VALUES // (m * width)), rows)
-    work = partial(_batch, m, width, rows, tile, reps, base_seed, role, score)
+    work = partial(_batch, m, width, rows, tile_rows(rows, m * width), reps, base_seed, role, score)
     return map_units(work, range(-(-reps // rows)), workers, pool)
 
 

@@ -192,22 +192,17 @@ def _check_theta(theta: float) -> None:
         raise ConfigError([f"filter sums to zero: |theta| = {abs(theta):.3g} < {_THETA_FLOOR}"])
 
 
-def fir_rows(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fir_rows(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each row of ``x`` (rows, width) through the FIR filter ``coeffs``:
     ``signal.lfilter(coeffs, [1.0], x, axis=1)`` bit for bit.
 
     The result is the top-left (rows, width) view of ``out``, a buffer of
     at least that size that may be ``x``'s own: each row is convolved
-    whole before it is written.  Without ``out`` the buffer is scipy's, a
-    zeroed (rows, width + taps - 1) one.  That layout kept peak RSS down
-    through glibc's mmap threshold while the engine filtered whole blocks;
-    it now passes a reused tile buffer instead.  One tap is an exact
-    scaling, done for all rows at once; ``+= 0.0`` turns -0.0 into +0.0
-    as ``np.convolve``'s zero-started sums do.
+    whole before it is written.  One tap is an exact scaling, done for all
+    rows at once; ``+= 0.0`` turns -0.0 into +0.0 as ``np.convolve``'s
+    zero-started sums do.
     """
     rows, width = x.shape
-    if out is None:
-        out = np.zeros((rows, width + len(coeffs) - 1))
     out = out[:rows, :width]
     if len(coeffs) == 1:
         np.multiply(x, coeffs[0], out=out)

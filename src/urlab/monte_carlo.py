@@ -10,11 +10,10 @@ keep reductions deterministic too.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .linear_process import (
 )
 # substream, the per-key reference, stays importable here for bench/layertrace.py
 from .streams import ROLE_PATH, map_units, substream, substreams  # noqa: F401
+from .streams import tile_buffers, tile_rows
 
 STATISTICS = (
     "excess_ape",
@@ -39,8 +39,8 @@ STATISTICS = (
     "x_n_sq_over_n",
 )
 
-# Work units only: a block is worked in tiles of about
-# brownian._TILE_VALUES draws, so these bound no buffer.
+# Work units only: a block is worked in the tiles of streams.tile_rows,
+# so these bound no buffer.
 _CHUNK = 4096          # most replications per work unit
 _ROW_VALUES = 1 << 22  # draws per work unit
 
@@ -178,17 +178,6 @@ def _degenerate_mask(u: np.ndarray) -> np.ndarray:
     return bad
 
 
-@lru_cache(maxsize=1)
-def _workspace(tile: int, width: int, thread: int) -> tuple[np.ndarray, ...]:
-    """The buffers one thread fills for each tile of ``tile`` rows of
-    ``width`` steps, so their pages fault in once: the (tile, width, 2)
-    draws, five (tile, width) float buffers (omega, epsilon and three for
-    scoring) and a (tile, width) bool mask.  Keyed by thread, as
-    ``brownian._tiles``, so no two threads share them."""
-    floats = np.empty((5, tile, width))
-    return np.empty((tile, width, 2)), *floats, np.empty((tile, width), dtype=bool)
-
-
 def _draws(streams: Iterator[np.random.Generator], family: str, z: np.ndarray) -> np.ndarray:
     """Fill each row of ``z`` (rows, steps, 2) with standardized draws of
     ``family`` from the next generator of ``streams``, one keyed stream
@@ -221,8 +210,8 @@ def _path_columns(
     alone (see ``_block_worker`` for the one exception).  Every operation
     acts along axis 1, so row results do not depend on batching or
     tiling.  ``z`` is consumed, and every path-length array is a view of
-    ``work``, the float buffers and bool mask of ``_workspace``, at least
-    z's rows and steps in size: no step allocates one.
+    ``work`` (five float buffers and a bool mask), at least z's rows and
+    steps in size: no step allocates one.
     """
     rows, total = z.shape[:2]
     om, eps, uu, uv, e2, flags = (buf[:rows, :total] for buf in work)
@@ -300,7 +289,9 @@ def _block_worker(
     # row is no longer than the taps, so such a short n gets a pass of its own
     passes = [(n,) for n in grid[:-1] if burn + n <= len(filt.coeffs)]
     passes.append(grid[len(passes):])
-    z, *work = _workspace(tile, burn + grid[-1] + 1, threading.get_ident())
+    width = burn + grid[-1] + 1
+    z, floats, mask = tile_buffers(((tile, width, 2), float), ((5, tile, width), float),
+                                   ((tile, width), bool))
 
     out: dict[int, dict[str, np.ndarray]] = {}
     failures = dict.fromkeys(grid, 0)
@@ -318,9 +309,9 @@ def _block_worker(
             for lo in range(0, len(reps), tile):
                 rows = reps[lo : lo + tile]
                 scored = _path_columns(
-                    _draws(streams, config.innovations.family, z[: len(rows), :total]), work,
-                    config.innovations, filt.coeffs, config.beta, config.varsigma, burn,
-                    points, want_ape,
+                    _draws(streams, config.innovations.family, z[: len(rows), :total]),
+                    (*floats, mask), config.innovations, filt.coeffs, config.beta,
+                    config.varsigma, burn, points, want_ape,
                 )
                 for n, (cols, bad) in scored.items():
                     if n not in out:
@@ -354,13 +345,13 @@ def sample_statistics(
     ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
     runs them serially, over ``pool`` (a run's open process pool) or over
     a pool of up to ``workers`` processes (None: the usable cores), and
-    they are reassembled in index order.  Each block is worked in tiles of
-    about ``brownian._TILE_VALUES`` draws, sized once here from the widest
-    path, in one reused workspace per process and thread, so a process
-    touches a few MiB of fresh memory, not a block's 100 MiB.  The
-    columns at n, ``resampled`` included, are bit-identical to those of a
-    call with grid (n,), whatever the worker count or tile size: streams
-    are keyed by replication index.
+    they are reassembled in index order.  Each block is worked in the
+    tiles of ``streams.tile_rows``, sized once here from the widest path,
+    in ``streams.tile_buffers``, so a process touches a few MiB of fresh
+    memory, not a block's 100 MiB.  The columns at n, ``resampled``
+    included, are bit-identical to those of a call with grid (n,),
+    whatever the worker count or tile size: streams are keyed by
+    replication index.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:
@@ -369,7 +360,7 @@ def sample_statistics(
     max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
     width = stationary_burn_in(config.varsigma) + grid[-1] + 1
     rows = min(_CHUNK, max(4, _ROW_VALUES // (2 * width)))
-    tile = min(rows, max(1, brownian._TILE_VALUES // (2 * width)))
+    tile = tile_rows(rows, 2 * width)
     work = partial(_block_worker, config, filt, grid, want_ape, max_failures, tile)
     blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
     results = map_units(work, blocks, workers, pool)

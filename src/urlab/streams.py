@@ -21,13 +21,21 @@ Since every unit of work is keyed this way, it can run in any process:
 ``map_units`` maps a function over index-ordered units, serially or over
 a process pool, and returns the results in unit order.  A worker count
 of None means the usable cores (``usable_cores``).
+
+Each engine works a unit in tiles of ``tile_rows`` rows, about
+``_TILE_VALUES`` values, in buffers its thread reuses (``tile_buffers``).
+``brownian._BATCH_VALUES`` is a stream key: batch b draws from
+``substream(base_seed, role, b)``.  ``_TILE_VALUES`` and the finite-n
+block sizes ``monte_carlo._CHUNK`` and ``_ROW_VALUES`` change no bit.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, PCG64DXSM, SeedSequence
@@ -61,6 +69,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 _BLOCK = 1024  # indices per vectorized pass; bounds the uint32 temporaries
+_TILE_VALUES = 1 << 17  # values per tile of a work unit: 1 MiB of float64
 
 
 def _words(value: int) -> list[int]:
@@ -184,3 +193,19 @@ def map_units(fn, units, workers: int | None = None, pool: Executor | None = Non
         return list(pool.map(fn, units))
     with ProcessPoolExecutor(max_workers=min(workers, len(units))) as own:
         return list(own.map(fn, units))
+
+
+def tile_rows(rows: int, values_per_row: int) -> int:
+    """Rows per tile of a ``rows``-row unit: about ``_TILE_VALUES`` values."""
+    return min(rows, max(1, _TILE_VALUES // values_per_row))
+
+
+def tile_buffers(*specs) -> tuple[np.ndarray, ...]:
+    """``np.empty(shape, dtype)`` per (shape, dtype) spec: the same arrays on
+    each call from this thread with these specs, and never another's."""
+    return _thread_buffers(specs, threading.get_ident())
+
+
+@lru_cache(maxsize=1)
+def _thread_buffers(specs: tuple, thread: int) -> tuple[np.ndarray, ...]:
+    return tuple(np.empty(shape, dtype) for shape, dtype in specs)

@@ -23,7 +23,7 @@ from urlab import (
     mse_limit_formula,
     time_integral_sq,
 )
-from urlab import brownian
+from urlab import brownian, streams
 from urlab.streams import ROLE_BM, ROLE_CONSTANTS, substream
 
 # E[1 / int_0^1 W^2] via the Laplace transform E e^{-sQ} = cosh(sqrt(2s))^{-1/2},
@@ -243,7 +243,7 @@ def test_threads_of_one_process_do_not_share_tiles(monkeypatch):
     # tiles of 5 rows; the draws release the interpreter lock, so threads
     # sharing tile buffers would overwrite each other's paths
     monkeypatch.setattr(brownian, "_BATCH_VALUES", 64 * 512)
-    monkeypatch.setattr(brownian, "_TILE_VALUES", 5 * 512)
+    monkeypatch.setattr(streams, "_TILE_VALUES", 5 * 512)
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     solo = limit_sample_batch(p, 256, 512, base_seed=3, workers=1)
     interval = sys.getswitchinterval()
@@ -269,7 +269,7 @@ def test_tile_size_does_not_change_bits(monkeypatch, floor, tile_rows):
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     whole = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
     report = estimate_constants(m=16, reps=200, base_seed=3, workers=1)
-    monkeypatch.setattr(brownian, "_TILE_VALUES", tile_rows * 32)
+    monkeypatch.setattr(streams, "_TILE_VALUES", tile_rows * 32)
     tiled = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
     for key in ("fpe_limit_draw", "mse_limit_draw"):
         assert tiled[key].tobytes() == whole[key].tobytes(), key

@@ -451,6 +451,31 @@ def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# sha256 of each artifact of `urlab all` on SPLIT_RUN at --workers 1 and
+# the default block, batch and tile sizes.  A change meant to keep bits
+# keeps these; one that alters bits on purpose updates them and says so
+# in CHANGES.md, as test_pinned_bits.py asks.
+SPLIT_RUN_ARTIFACTS = {
+    "fpe_summary.csv": "a78705624b513769764f4244f244c1a12284c7da26b7c4e80bfd837e3be159d0",
+    "fpe_summary.json": "1876bfcf88e1cd16979acf72c33c2c22547f6f0af889817905dd419b27a1641a",
+    "ape_curve.csv": "8eb6a7411db5e7faa8e9c34a5cf9b2cc823b6b985d0ae416bd2006d57b70c3e8",
+    "ape_curve.json": "51751b62cced7503c0d2aa5c0622581b2f13d8a94c1d3205e9b044a4fb93d92c",
+    "mse_summary.csv": "e28b7a6f4bf8026eb546240677e99220d3707a5ed3a33b3be07b3faa217a2efe",
+    "mse_summary.json": "059de41afed68605fed4dafe7fa3b9b8dd89037e0840974c931d3f623ae456e1",
+    "constants.json": "fbba59824597f6e9d0bf026c19953dbc112697ac3c6f1c2a15aece15e6d25301",
+    "cross_moment.json": "ea39352ce96c49eb3c6fe3cbf4f54e9dbf7693fcb0c5385cfacaa6d64e9395e0",
+    "limit_check.json": "3b89f653d7941a66ff9dfa22eb407644d87cf0cb364dc057ad2fa6116d3e5aad",
+}
+
+
+def test_all_writes_the_pinned_artifacts(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(SPLIT_RUN)
+    out = tmp_path / "o"
+    assert main(["all", str(ini), "--workers", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == SPLIT_RUN_ARTIFACTS
+
+
 def _usable_cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 

@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from urlab import (
     sample_statistics,
     stationary_comparison,
 )
-from urlab import brownian, monte_carlo
+from urlab import brownian, monte_carlo, streams
 from urlab.linear_process import _AR_LOOP_MAX_WIDTH, stationary_burn_in
 from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
@@ -101,7 +103,7 @@ def test_arrays_independent_of_chunking(monkeypatch, case, tile_rows):
     monkeypatch.setattr(monte_carlo, "_CHUNK", 17)
     if tile_rows is not None:
         width = stationary_burn_in(cfg.varsigma) + cfg.n_grid[-1] + 1
-        monkeypatch.setattr(brownian, "_TILE_VALUES", 2 * width * tile_rows)
+        monkeypatch.setattr(streams, "_TILE_VALUES", 2 * width * tile_rows)
     chunked = sample_statistics(cfg, cfg.n_grid, workers=1)
     if case == "uniform-retries":
         assert base[30]["resampled"][0] > 0
@@ -111,20 +113,54 @@ def test_arrays_independent_of_chunking(monkeypatch, case, tile_rows):
             assert chunked[n][key].tobytes() == col.tobytes(), (n, key)
 
 
-def test_first_call_allocates_about_a_tile_not_a_block():
+def test_threads_of_one_process_do_not_share_tile_buffers(monkeypatch):
+    # 4 threads, switching often, run 8 blocks of 20 replications in tiles
+    # of 3 rows; the draws release the interpreter lock, so threads sharing
+    # tile buffers would overwrite each other's paths
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 20)
+    cfg = config(reps=160, n_grid=(30, 60), statistics=("fpe_stat", "excess_ape"))
+    monkeypatch.setattr(streams, "_TILE_VALUES", 3 * 61 * 2)  # 61 steps of 2 draws
+    solo = sample_statistics(cfg, cfg.n_grid, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = sample_statistics(cfg, cfg.n_grid, pool=pool)
+    finally:
+        sys.setswitchinterval(interval)
+    for n, cols in solo.items():
+        for key, col in cols.items():
+            assert threaded[n][key].tobytes() == col.tobytes(), (n, key)
+
+
+README_PATH_CONFIG = config(filter_spec=README_FILTER, n_grid=(500, 32000), reps=64,
+                            innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+                            statistics=("fpe_stat", "excess_ape"))
+FIRST_CALLS = {
     # criterion 3's widest path; with whole blocks of 65 rows this peaked
-    # at 80 MiB, and tiles of 2 rows in one workspace take about 4 MiB
-    cfg = config(filter_spec=README_FILTER, n_grid=(500, 32000), reps=64,
-                 innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
-                 statistics=("fpe_stat", "excess_ape"))
-    monte_carlo._workspace.cache_clear()
+    # at 80 MiB, and tiles of 2 rows in one set of buffers take about 4 MiB
+    "finite": (lambda: sample_statistics(README_PATH_CONFIG, README_PATH_CONFIG.n_grid,
+                                         workers=1), 16),
+    # criterion 4's grid: a whole batch is 16 MiB of draws, and tiles of 16
+    # paths peak at about 2.5 (constants, at grid 2m) and 1.5 MiB
+    "constants": (lambda: brownian.estimate_constants(m=4096, reps=600, workers=1), 8),
+    "limit": (lambda: brownian.limit_sample_batch(
+        brownian.LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5),
+        4096, 600, base_seed=0, workers=1), 8),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(FIRST_CALLS))
+def test_first_call_allocates_about_a_tile_not_a_block(engine):
+    call, bound_mib = FIRST_CALLS[engine]
+    streams._thread_buffers.cache_clear()
     tracemalloc.start()
     try:
-        sample_statistics(cfg, cfg.n_grid, workers=1)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("width", [2, 3, 6])
