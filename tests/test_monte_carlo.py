@@ -133,34 +133,38 @@ def test_threads_of_one_process_do_not_share_tile_buffers(monkeypatch):
             assert threaded[n][key].tobytes() == col.tobytes(), (n, key)
 
 
-README_PATH_CONFIG = config(filter_spec=README_FILTER, n_grid=(500, 32000), reps=64,
-                            innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
-                            statistics=("fpe_stat", "excess_ape"))
-FIRST_CALLS = {
-    # criterion 3's widest path; with whole blocks of 65 rows this peaked
-    # at 80 MiB, and tiles of 2 rows in one set of buffers take about 4 MiB
-    "finite": (lambda: sample_statistics(README_PATH_CONFIG, README_PATH_CONFIG.n_grid,
-                                         workers=1), 16),
-    # criterion 4's grid: a whole batch is 16 MiB of draws, and tiles of 16
-    # paths peak at about 2.5 (constants, at grid 2m) and 1.5 MiB
-    "constants": (lambda: brownian.estimate_constants(m=4096, reps=600, workers=1), 8),
-    "limit": (lambda: brownian.limit_sample_batch(
-        brownian.LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5),
-        4096, 600, base_seed=0, workers=1), 8),
-}
-
-
-@pytest.mark.parametrize("engine", sorted(FIRST_CALLS))
-def test_first_call_allocates_about_a_tile_not_a_block(engine):
-    call, bound_mib = FIRST_CALLS[engine]
+def _first_call_peak(call):
     streams._thread_buffers.cache_clear()
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mib * 2**20
+
+
+def test_first_call_allocates_about_a_tile_not_a_block():
+    # criterion 3's widest path; with whole blocks of 65 rows this peaked
+    # at 80 MiB, and tiles of 2 rows in one set of buffers take about 4 MiB
+    cfg = config(filter_spec=README_FILTER, n_grid=(500, 32000), reps=64,
+                 innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+                 statistics=("fpe_stat", "excess_ape"))
+    assert _first_call_peak(lambda: sample_statistics(cfg, cfg.n_grid, workers=1)) < 16 * 2**20
+
+
+BROWNIAN_FIRST_CALLS = {
+    "constants": lambda: brownian.estimate_constants(m=4096, reps=600, workers=1),
+    "limit": lambda: brownian.limit_sample_batch(
+        brownian.LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5),
+        4096, 600, base_seed=0, workers=1),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(BROWNIAN_FIRST_CALLS))
+def test_brownian_first_call_allocates_about_a_tile_not_a_batch(sampler):
+    # criterion 4's grid: a whole batch is 16 MiB of draws, and tiles of 16
+    # paths peak at about 2.5 (constants, at grid 2m) and 1.5 MiB
+    assert _first_call_peak(BROWNIAN_FIRST_CALLS[sampler]) < 8 * 2**20
 
 
 @pytest.mark.parametrize("width", [2, 3, 6])
