@@ -13,9 +13,9 @@ path whose time integral Q is under the floor (for the constants, at
 either grid) is redrawn from substream(base_seed, role, path index,
 attempt), attempt 1 ... 64, and counted; ResamplePathError ends the run
 if none clears it.  A batch depends on nothing but its key, so
-``streams.map_units`` runs the batches serially or over a process pool
-(by default one process per usable core), and the samplers combine them
-in batch order.
+``streams.map_units`` runs the batches over ``workers``, serially, over
+a caller's open pool or over a pool of its own (by default one process
+per usable core), and the samplers combine them in batch order.
 
 Within a batch, ``_scored`` draws, sums and scores one tile of
 ``streams.tile_rows`` at a time in the thread's two reused
@@ -34,6 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, ResamplePathError, Validated
+from .innovations import derived_correlation
 from .streams import ROLE_BM, ROLE_CONSTANTS, map_units, substream, tile_buffers, tile_rows
 
 # Time integrals below this are degenerate: the exact event has probability
@@ -111,8 +112,6 @@ class LimitParams(Validated):
     @classmethod
     def from_model(cls, filt, innov) -> "LimitParams":
         """Params implied by a materialized filter and an innovation spec."""
-        from .innovations import derived_correlation
-
         rho, sigma_theta_sq = derived_correlation(innov)
         return cls(
             rho=rho,
@@ -209,12 +208,12 @@ def _scored(rng, paths: int, m: int, width: int, tile: int, score):
     return np.concatenate(qs), np.concatenate(values, axis=1)
 
 
-def _map_batches(m, width, reps, base_seed, role, score, workers, pool) -> list:
+def _map_batches(m, width, reps, base_seed, role, score, workers) -> list:
     """[(values, redrawn)] of every batch, in batch order, from
     ``streams.map_units``."""
     rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
     work = partial(_batch, m, width, rows, tile_rows(rows, m * width), reps, base_seed, role, score)
-    return map_units(work, range(-(-reps // rows)), workers, pool)
+    return map_units(work, range(-(-reps // rows)), workers)
 
 
 def _limit_score(p: LimitParams, m: int, lev: np.ndarray, z: np.ndarray):
@@ -229,13 +228,13 @@ def _limit_score(p: LimitParams, m: int, lev: np.ndarray, z: np.ndarray):
 
 def limit_sample_batch(
     p: LimitParams, m: int, reps: int, base_seed: int,
-    workers: int | None = None, pool: Executor | None = None,
+    workers: int | Executor | None = None,
 ) -> dict:
     """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts
-    redraws.  Batches run serially, over ``pool`` or over up to ``workers``
-    processes (None: the usable cores), with equal bits."""
+    redraws.  Batches run over ``workers``, an open pool or a process
+    count (None: the usable cores), with equal bits."""
     batches = _map_batches(
-        m, 2, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers, pool
+        m, 2, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers
     )
     draws = np.concatenate([values for values, _ in batches], axis=1)
     resampled = sum(redrawn for _, redrawn in batches)
@@ -282,7 +281,7 @@ class ConstantsReport:
 
 def estimate_constants(
     m: int = 1 << 12, reps: int = 200_000, base_seed: int = 0,
-    workers: int | None = None, pool: Executor | None = None,
+    workers: int | Executor | None = None,
 ) -> ConstantsReport:
     """Monte Carlo estimates of K1 = E[(I/Q)^2] and K2 = E[1/Q].
 
@@ -290,7 +289,7 @@ def estimate_constants(
     increment pairs (exact in law), so the (m, 2m) refinement gap is a
     matched-path discretization measurement rather than two noisy runs.
     Batches run as in ``limit_sample_batch``, with equal bits whatever
-    ``workers`` or ``pool``.
+    ``workers``.
     """
     if m < _MIN_CONSTANTS_GRID:
         raise ConfigError([f"grid size m must be >= {_MIN_CONSTANTS_GRID}, got {m}"])
@@ -298,7 +297,7 @@ def estimate_constants(
         raise ConfigError([f"reps must be >= 2, got {reps}"])
     m_fine = 2 * m
     batches = _map_batches(
-        m_fine, 1, reps, base_seed, ROLE_CONSTANTS, partial(_constants_score, m), workers, pool
+        m_fine, 1, reps, base_seed, ROLE_CONSTANTS, partial(_constants_score, m), workers
     )
     sums = sums_sq = gaps = 0.0
     for draws, _ in batches:

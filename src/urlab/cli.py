@@ -24,13 +24,10 @@ The [targets] values are checked when the config is parsed: 3 <= m_log2
 and bound (fpe_floor, mse_floor, k1_floor, k2_floor, slope_rel_band,
 stationary_floor, ks_max) >= 0, and every float must be finite.
 
-With --workers K a run opens one process pool of min(K, usable cores)
-processes, if that is > 1, and every stage maps its work units over it:
-the finite-n engine's blocks of replications, the constants' Brownian
-batches and the limit-check's Brownian batches.  Without --workers, K is
-the usable cores; --workers 1 runs serially.  Each stage reassembles its
-results in index order, so every artifact is byte-identical to a run
-with --workers 1; the manifest records K.
+--workers K (default: the usable cores) sizes the run's one pool,
+``streams.run_pool``, and every stage maps its work units over it.  Each
+stage reassembles its results in index order, so every artifact is
+byte-identical to a run with --workers 1; the manifest records K.
 
 Exit codes: 0 success (pass/fail lines are reporting only), 1 a failed
 comparison under --strict, 2 a bad config (including a negative seed, a
@@ -49,9 +46,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -61,7 +56,7 @@ from .errors import ConfigError, DegenerateRateError, ResamplePathError, Validat
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
 from .monte_carlo import ExperimentConfig
-from .streams import usable_cores
+from .streams import run_pool, usable_cores
 
 @dataclass(frozen=True)
 class Targets(Validated):
@@ -277,7 +272,7 @@ def _grid_rows(summaries, target, floor, se_mult):
     ]
 
 
-def _run_fpe(config, targets, columns, parallel):
+def _run_fpe(config, targets, columns, workers):
     summaries = _grid_summaries(config, "fpe_stat", columns)
     target = monte_carlo.limit_target(config, "fpe_stat")
     rows = _grid_rows(summaries, target, targets.fpe_floor, targets.se_mult)
@@ -289,7 +284,7 @@ def _run_fpe(config, targets, columns, parallel):
     return rows, rows[-1]["passed"], files
 
 
-def _run_ape(config, targets, columns, parallel):
+def _run_ape(config, targets, columns, workers):
     summaries = _grid_summaries(config, "excess_ape", columns)
     slope = monte_carlo.ape_slope(summaries)
     # the paper's claim: APE grows per log n by the FPE constant; excess_ape
@@ -304,7 +299,7 @@ def _run_ape(config, targets, columns, parallel):
     return rows, rows[0]["passed"], files
 
 
-def _run_mse(config, targets, columns, parallel):
+def _run_mse(config, targets, columns, workers):
     summaries = _grid_summaries(config, "norm_est_sq", columns)
     target = monte_carlo.limit_target(config, "norm_est_sq")
     rows = _grid_rows(summaries, target, targets.mse_floor, targets.se_mult)
@@ -315,9 +310,9 @@ def _run_mse(config, targets, columns, parallel):
     return rows, rows[-1]["passed"], files
 
 
-def _run_constants(config, targets, columns, parallel):
+def _run_constants(config, targets, columns, workers):
     report = brownian.estimate_constants(
-        m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed, **parallel
+        m=1 << targets.m_log2, reps=targets.bm_reps, base_seed=config.base_seed, workers=workers
     )
     rows = [
         _row(f"{est.name} ({what})", est.value, canon.value, _band(floor, est.se, targets.se_mult))
@@ -340,7 +335,7 @@ def _contrast_rows(out, joint, product, se_mult):
     ]
 
 
-def _run_cross(config, targets, columns, parallel):
+def _run_cross(config, targets, columns, workers):
     n = config.n_grid[-1]
     out = monte_carlo.cross_moment_from(columns[n], n)
     target = partial(monte_carlo.limit_target, config)
@@ -355,7 +350,7 @@ def _run_cross(config, targets, columns, parallel):
     return rows, all(r["passed"] for r in rows), {"cross_moment.json": out}
 
 
-def _run_stationary(config, targets, columns, parallel):
+def _run_stationary(config, targets, columns, workers):
     n = config.n_grid[-1]
     out = monte_carlo.stationary_comparison_from(columns[n], n)
     # both moments tend to the stationary FPE constant
@@ -365,12 +360,12 @@ def _run_stationary(config, targets, columns, parallel):
     return rows, all(r["passed"] for r in rows), {"stationary.json": out}
 
 
-def _run_limit_check(config, targets, columns, parallel):
+def _run_limit_check(config, targets, columns, workers):
     n = config.n_grid[-1]
     filt = materialize_filter(config.filter_spec)
     params = brownian.LimitParams.from_model(filt, config.innovations)
     draws = brownian.limit_sample_batch(
-        params, 1 << targets.m_log2, targets.limit_reps, config.base_seed, **parallel
+        params, 1 << targets.m_log2, targets.limit_reps, config.base_seed, workers=workers
     )
     ks = monte_carlo.limit_distribution_check(columns[n]["fpe_stat"], draws["fpe_limit_draw"])
     rows = [_row(f"KS(finite n={n}, limit law)", ks, 0.0, targets.ks_max)]
@@ -387,9 +382,9 @@ def _run_limit_check(config, targets, columns, parallel):
     return rows, rows[0]["passed"], files
 
 
-# Each handler maps (config, targets, {n: columns}, the run's parallelism
-# as workers and pool keywords) to (rows, passed, {file name: payload})
-# and writes nothing; dispatch writes every file.
+# Each handler maps (config, targets, {n: columns}, the run's workers) to
+# (rows, passed, {file name: payload}) and writes nothing; dispatch
+# writes every file.
 _HANDLERS = {
     "fpe": _run_fpe,
     "ape-curve": _run_ape,
@@ -438,13 +433,9 @@ def dispatch(
     columns at n never depend on these choices.
 
     ``out_dir`` is created after the gates, before any simulation; an
-    OSError there is a ConfigError.  ``workers`` None means the usable
-    cores, and the manifest records the count.  When min(``workers``,
-    usable cores) > 1 the run opens one process pool of that many
-    processes, hands it to that call and to the constants and limit-check
-    handlers, and closes it on every exit path; otherwise every stage runs
-    serially.  The finite blocks and the Brownian batches map over the
-    pool and are reassembled in index order.
+    OSError there is a ConfigError.  ``streams.run_pool(workers)`` gives
+    the run's one pool, or 1, and every stage runs over it; the manifest
+    records ``workers``, None meaning the usable cores.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
@@ -465,22 +456,12 @@ def dispatch(
     except OSError as exc:
         problem = f"cannot create output directory {out_dir}: {exc.strerror or exc}"
         raise ConfigError([problem]) from exc
-    # one pool for every stage of the run; it forks all its processes when a
-    # stage first maps two or more units over it, so it gets no more than
-    # the usable cores
-    cores = usable_cores()
-    workers = cores if workers is None else workers
-    procs = min(workers, cores)
-    run_pool = ProcessPoolExecutor(max_workers=procs) if procs > 1 else nullcontext()
-    with run_pool as pool:
-        # every stage gets the resolved count, so none falls back to the
-        # engines' default of the usable cores
-        parallel = {"workers": procs, "pool": pool}
+    with run_pool(workers) as pool:
         columns = {}
         if runs:
             grid = config.n_grid if {"fpe", "ape-curve", "mse"} & runs else config.n_grid[-1:]
             columns = monte_carlo.sample_statistics(
-                config, grid, want_ape="ape-curve" in runs, **parallel
+                config, grid, want_ape="ape-curve" in runs, workers=pool
             )
         failures = 0
         artifacts: dict[str, str] = {}
@@ -489,7 +470,7 @@ def dispatch(
                 print(f"== {name} ==", file=stream)
                 print(f"{name}: skipped ({skipped[name]})", file=stream)
                 continue
-            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns, parallel)
+            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns, pool)
             for file_name, payload in files.items():
                 csv = file_name.endswith(".csv")
                 write = reporting.write_summary_csv if csv else reporting.write_json
@@ -503,7 +484,7 @@ def dispatch(
         subcommand=subcommand,
         out_dir=str(out_dir),
         base_seed=config.base_seed,
-        workers=workers,
+        workers=usable_cores() if workers is None else workers,
         artifacts=artifacts,
     )
     reporting.write_json(Path(out_dir) / "manifest.json", asdict(manifest))

@@ -56,5 +56,7 @@ class DegenerateRateError(RuntimeError):
 
 
 class ResamplePathError(RuntimeError):
-    """Brownian path with a numerically degenerate time integral; the
-    caller should draw a replacement path from a tagged substream."""
+    """Brownian path with a numerically degenerate time integral, raised by
+    ``limit_sample`` for its caller to redraw the path from a tagged
+    substream, and by ``brownian._batch`` to end the run (exit 3) when 64
+    redraws of the path all stay degenerate."""

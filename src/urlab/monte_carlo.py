@@ -334,8 +334,7 @@ def sample_statistics(
     config: ExperimentConfig,
     grid: tuple[int, ...],
     want_ape: bool | None = None,
-    workers: int | None = None,
-    pool: Executor | None = None,
+    workers: int | Executor | None = None,
 ) -> dict[int, dict[str, np.ndarray]]:
     """{n: per-path statistic columns over all replications} for each n of
     ``grid``, from one pass: each replication is drawn, filtered and
@@ -343,14 +342,13 @@ def sample_statistics(
 
     The work units are blocks of consecutive replications, at most
     ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
-    runs them serially, over ``pool`` (a run's open process pool) or over
-    a pool of up to ``workers`` processes (None: the usable cores), and
-    they are reassembled in index order.  Each block is worked in the
-    tiles of ``streams.tile_rows``, sized once here from the widest path,
-    in ``streams.tile_buffers``, so a process touches a few MiB of fresh
-    memory, not a block's 100 MiB.  The columns at n, ``resampled``
-    included, are bit-identical to those of a call with grid (n,),
-    whatever the worker count or tile size: streams are keyed by
+    runs them over ``workers``, an open pool or a process count (None: the
+    usable cores), and they are reassembled in index order.  Each block is
+    worked in the tiles of ``streams.tile_rows``, sized once here from the
+    widest path, in ``streams.tile_buffers``, so a process touches a few
+    MiB of fresh memory, not a block's 100 MiB.  The columns at n,
+    ``resampled`` included, are bit-identical to those of a call with grid
+    (n,), whatever the worker count or tile size: streams are keyed by
     replication index.
     """
     grid = tuple(sorted(set(grid)))
@@ -363,7 +361,7 @@ def sample_statistics(
     tile = tile_rows(rows, 2 * width)
     work = partial(_block_worker, config, filt, grid, want_ape, max_failures, tile)
     blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
-    results = map_units(work, blocks, workers, pool)
+    results = map_units(work, blocks, workers)
     merged = {}
     for n in grid:
         failures = sum(r[1][n] for r in results)
@@ -423,7 +421,7 @@ def summarize(
     )
 
 
-def run(config: ExperimentConfig, workers: int | None = None) -> list[McSummary]:
+def run(config: ExperimentConfig, workers: int | Executor | None = None) -> list[McSummary]:
     """Mean and MC standard error of each requested statistic at each n."""
     columns = sample_statistics(config, config.n_grid, workers=workers)
     return [
@@ -496,7 +494,15 @@ def cross_moment_from(columns: dict, n: int) -> dict:
     }
 
 
-def cross_moment(config: ExperimentConfig, workers: int | None = None) -> dict:
+def _at_n_max(config: ExperimentConfig, check: str, contrast_from, workers) -> dict:
+    """``contrast_from`` of the columns at the largest n, gated as ``check``."""
+    require(config, check)
+    n = config.n_grid[-1]
+    columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
+    return contrast_from(columns, n)
+
+
+def cross_moment(config: ExperimentConfig, workers: int | Executor | None = None) -> dict:
     """Joint vs product-of-marginals moments of (x_n^2/n, n^2(bh-b)^2)
     at the largest n.
 
@@ -504,10 +510,7 @@ def cross_moment(config: ExperimentConfig, workers: int | None = None) -> dict:
     per-path fpe_stat by construction; the marginal product estimates the
     limit of the decoupled moments.
     """
-    require(config, "cross-moment")
-    n = config.n_grid[-1]
-    columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
-    return cross_moment_from(columns, n)
+    return _at_n_max(config, "cross-moment", cross_moment_from, workers)
 
 
 def stationary_comparison_from(columns: dict, n: int) -> dict:
@@ -525,17 +528,14 @@ def stationary_comparison_from(columns: dict, n: int) -> dict:
     }
 
 
-def stationary_comparison(config: ExperimentConfig, workers: int | None = None) -> dict:
+def stationary_comparison(config: ExperimentConfig, workers: int | Executor | None = None) -> dict:
     """Joint and product moments of (x_n^2, n(bh-b)^2) in stationary mode
     at the largest n.
 
     Both tend to sigma^2 and decouple in the limit, the contrast with the
     unit-root cross moment.
     """
-    require(config, "stationary")
-    n = config.n_grid[-1]
-    columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
-    return stationary_comparison_from(columns, n)
+    return _at_n_max(config, "stationary", stationary_comparison_from, workers)
 
 
 def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,8 +19,9 @@ falls back to ``substream``.
 
 Since every unit of work is keyed this way, it can run in any process:
 ``map_units`` maps a function over index-ordered units, serially or over
-a process pool, and returns the results in unit order.  A worker count
-of None means the usable cores (``usable_cores``).
+a pool, and returns the results in unit order.  Its ``workers`` is an
+open pool, such as a run's ``run_pool``, or a process count (None: the
+usable cores).  Only this module opens process pools.
 
 Each engine works a unit in tiles of ``tile_rows`` rows, about
 ``_TILE_VALUES`` values, in buffers its thread reuses (``tile_buffers``).
@@ -35,6 +36,7 @@ import os
 import threading
 from collections.abc import Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -175,24 +177,36 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def map_units(fn, units, workers: int | None = None, pool: Executor | None = None) -> list:
+def _processes(workers: int | None, units: int | None = None) -> int:
+    """min(``workers`` (None: the usable cores), usable cores, ``units``):
+    a pool forks all its processes up front, and more would idle."""
+    cores = usable_cores()
+    count = min(cores if workers is None else workers, cores)
+    return count if units is None else min(count, units)
+
+
+def run_pool(workers: int | None = None) -> ProcessPoolExecutor | nullcontext:
+    """A context that yields 1, or one open process pool for every stage of
+    a run to take as ``workers``, and closes it on exit."""
+    processes = _processes(workers)
+    return ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext(1)
+
+
+def map_units(fn, units, workers: int | Executor | None = None) -> list:
     """``[fn(u) for u in units]``, in unit order.
 
-    Serial when there is one unit, or when no ``pool`` is given and
-    ``workers`` is 1 (None means ``usable_cores()``).  Otherwise the units
-    go to ``pool``, a run's open pool, or to a pool of min(workers, units)
-    processes opened for this call: a pool forks all its processes up
-    front, and more than units would idle.
+    ``workers`` is an open pool, mapped over and left open, or a process
+    count (None: the usable cores) for a pool of this call's own.  One
+    unit, or a count that leaves one process, runs serially.
     """
     units = list(units)
-    if workers is None:
-        workers = usable_cores()
-    if len(units) < 2 or (pool is None and workers <= 1):
+    if len(units) > 1 and hasattr(workers, "map"):
+        return list(workers.map(fn, units))
+    processes = _processes(workers, len(units)) if len(units) > 1 else 1
+    if processes < 2:
         return list(map(fn, units))
-    if pool is not None:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(fn, units))
-    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as own:
-        return list(own.map(fn, units))
 
 
 def tile_rows(rows: int, values_per_row: int) -> int:

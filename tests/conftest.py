@@ -7,7 +7,7 @@ pytest run always shows them, captured or not.
 
 import pytest
 
-from urlab import cli, streams
+from urlab import streams
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -41,7 +41,6 @@ def counting_pool(monkeypatch):
             mapped.append(len(units))
             return map(fn, units)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(streams, "ProcessPoolExecutor", CountingPool)
     return opened, mapped
 

@@ -250,7 +250,7 @@ def test_threads_of_one_process_do_not_share_tiles(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = limit_sample_batch(p, 256, 512, base_seed=3, pool=pool)
+            threaded = limit_sample_batch(p, 256, 512, base_seed=3, workers=pool)
     finally:
         sys.setswitchinterval(interval)
     for key in ("fpe_limit_draw", "mse_limit_draw"):

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -125,7 +126,7 @@ def test_threads_of_one_process_do_not_share_tile_buffers(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = sample_statistics(cfg, cfg.n_grid, pool=pool)
+            threaded = sample_statistics(cfg, cfg.n_grid, workers=pool)
     finally:
         sys.setswitchinterval(interval)
     for n, cols in solo.items():
@@ -192,12 +193,23 @@ def test_arrays_independent_of_worker_count(monkeypatch):
 
 def test_pool_opens_no_more_workers_than_chunks(monkeypatch, counting_pool):
     monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     cfg = config(reps=100, n_grid=(50,))
     solo = sample_statistics(cfg, (50,), workers=1)[50]
     pooled = sample_statistics(cfg, (50,), workers=64)[50]
     assert counting_pool[0] == [3]
     for key, col in solo.items():
         assert pooled[key].tobytes() == col.tobytes(), key
+
+
+def test_pool_opens_no_more_workers_than_usable_cores(monkeypatch, counting_pool):
+    # 64 workers, 3 blocks and 2 cores: a pool forks all its processes up
+    # front, so more than the cores would only idle
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    cfg = config(reps=100, n_grid=(50,))
+    sample_statistics(cfg, (50,), workers=64)
+    assert counting_pool[0] == [2]
 
 
 def test_seed_changes_results():

@@ -1,8 +1,12 @@
+import importlib
 import os
+import pkgutil
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import urlab
 from urlab import (
     ExperimentConfig,
     FilterSpec,
@@ -98,3 +102,47 @@ def test_workers_default_to_the_usable_cores(monkeypatch, counting_pool, cores, 
     assert counting_pool[0] == opened
     _run_each_engine(workers=1)
     assert counting_pool[0] == opened
+
+
+def _square(u):
+    return u * u
+
+
+def test_map_units_takes_a_count_or_an_open_pool(counting_pool):
+    squares = [u * u for u in range(5)]
+    for count in (1, 0):
+        assert streams.map_units(_square, range(5), count) == squares
+    assert counting_pool == ([], [])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert streams.map_units(_square, range(5), pool) == squares
+        assert pool.submit(_square, 3).result() == 9  # left open
+    stand_in = streams.ProcessPoolExecutor(max_workers=2)  # counting_pool's serial stand-in
+    assert streams.map_units(_square, range(5), stand_in) == squares
+    assert streams.map_units(_square, [4], stand_in) == [16]  # one unit: serial
+    assert counting_pool == ([2], [5])
+
+
+def test_run_over_a_callers_pool_equals_serial(monkeypatch):
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 40)  # 3 blocks
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
+        innovations=InnovationSpec(pi=1.0),
+        beta=1.0,
+        n_grid=(30, 50),
+        reps=100,
+        base_seed=0,
+        statistics=("fpe_stat", "excess_ape"),
+    )
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = monte_carlo.run(cfg, workers=pool)
+    assert repr(threaded) == repr(monte_carlo.run(cfg, workers=1))
+
+
+def test_only_streams_holds_a_process_pool():
+    # one owner of process pools: a second would size them by its own rule
+    names = [f"urlab.{m.name}" for m in pkgutil.iter_modules(urlab.__path__)]
+    holders = [
+        name for name in ["urlab", *names]
+        if "ProcessPoolExecutor" in vars(importlib.import_module(name))
+    ]
+    assert holders == ["urlab.streams"]
