@@ -209,12 +209,30 @@ def _path_columns(
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
     alone (see ``_block_worker`` for the one exception).  Every operation
     acts along axis 1, so row results do not depend on batching or
-    tiling.  ``z`` is consumed, and every path-length array is a view of
-    ``work`` (five float buffers and a bool mask), at least z's rows and
-    steps in size: no step allocates one.
+    tiling.
+
+    ``work`` holds the contiguous draw buffer that ``z`` is the top-left
+    view of, then two float planes and a bool plane, each at least z's
+    rows and steps in size.  Every path-length array is a view of it, four
+    float planes in all, so no step allocates one:
+
+    - the om plane takes omega, then eta and the regressors x in place;
+    - the eps plane takes epsilon, then the responses y in place;
+    - the draws, spent once omega and epsilon are out, are carved into two
+      flat (rows, steps) planes.  Plane B takes u*u and gives each n's
+      s_xx prefix sums, then is cumsummed in place into the running energy.
+      Plane C takes eps^2 for the masked sse sums before y is formed, then
+      the u*beta temporary, then u*y for beta_hat, then the running
+      prediction error for ape;
+    - the bool plane takes ``off``, the pairs with no estimate yet.
+
+    The one exception is a stationary row longer than
+    ``linear_process._AR_LOOP_MAX_WIDTH``: ``ar1_rows`` integrates it into
+    a new array.
     """
     rows, total = z.shape[:2]
-    om, eps, uu, uv, e2, flags = (buf[:rows, :total] for buf in work)
+    draws, om, eps, flags = work
+    om, eps, flags = (buf[:rows, :total] for buf in (om, eps, flags))
     _scaled_pairs(innovations, z, out=(om, eps))
     xs = fir_rows(filt_coeffs, om[:, :-1], out=om)  # eta, over omega
     if varsigma == 1.0:
@@ -225,30 +243,34 @@ def _path_columns(
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
     bad = {n: _degenerate_mask(u[:, : n - 1]) for n in grid}
-    if want_ape:
-        e2 = np.square(eps[:, burn + 2 : burn + n_max], out=e2[:, : n_max - 2])  # eps_3 .. eps_n
-    v = eps[:, burn + 1 : burn + n_max]  # pair responses y_2 .. y_n, in place
-    v += np.multiply(u, beta, out=uu[:, : n_max - 1])
-    uu = np.multiply(u, u, out=uu[:, : n_max - 1])
-    uv = np.multiply(u, v, out=uv[:, : n_max - 1])
-    for n in grid:
-        s_xx = uu[:, : n - 1].sum(axis=1)
-        safe_xx = np.where(s_xx > 0.0, s_xx, 1.0)
-        cols[n]["beta_hat"] = uv[:, : n - 1].sum(axis=1) / safe_xx
+    plane_b, plane_c = draws.reshape(-1)[: 2 * rows * total].reshape(2, rows, total)
+    uu = np.multiply(u, u, out=plane_b[:, : n_max - 1])
+    s_xx = {n: uu[:, : n - 1].sum(axis=1) for n in grid}
     if want_ape:
         c_xx = np.cumsum(uu, axis=1, out=uu)[:, :-1]  # energy after pairs 1..n-2
         off = flags[:, : n_max - 2]  # no estimate yet to predict the next pair
         np.logical_not(np.greater(c_xx, 0.0, out=off), out=off)
         np.copyto(c_xx, 1.0, where=off)
+        # eps_3 .. eps_n, before the responses overwrite them
+        e2 = np.square(eps[:, burn + 2 : burn + n_max], out=plane_c[:, : n_max - 2])
+        np.copyto(e2, 0.0, where=off)
+        for n in grid:
+            cols[n]["sse"] = e2[:, : n - 2].sum(axis=1)
+    v = eps[:, burn + 1 : burn + n_max]  # pair responses y_2 .. y_n, in place
+    v += np.multiply(u, beta, out=plane_c[:, : n_max - 1])
+    uv = np.multiply(u, v, out=plane_c[:, : n_max - 1])
+    for n in grid:
+        safe_xx = np.where(s_xx[n] > 0.0, s_xx[n], 1.0)
+        cols[n]["beta_hat"] = uv[:, : n - 1].sum(axis=1) / safe_xx
+    if want_ape:
         err = np.cumsum(uv, axis=1, out=uv)[:, :-1]
         np.divide(err, c_xx, out=err)  # running beta_hat
         np.multiply(u[:, 1:], err, out=err)
         np.subtract(v[:, 1:], err, out=err)
         np.multiply(err, err, out=err)
         np.copyto(err, 0.0, where=off)
-        np.copyto(e2, 0.0, where=off)
         for n in grid:
-            cols[n].update(ape=err[:, : n - 2].sum(axis=1), sse=e2[:, : n - 2].sum(axis=1))
+            cols[n]["ape"] = err[:, : n - 2].sum(axis=1)
     return {n: (cols[n], bad[n]) for n in grid}
 
 
@@ -290,7 +312,7 @@ def _block_worker(
     passes = [(n,) for n in grid[:-1] if burn + n <= len(filt.coeffs)]
     passes.append(grid[len(passes):])
     width = burn + grid[-1] + 1
-    z, floats, mask = tile_buffers(((tile, width, 2), float), ((5, tile, width), float),
+    z, floats, mask = tile_buffers(((tile, width, 2), float), ((2, tile, width), float),
                                    ((tile, width), bool))
 
     out: dict[int, dict[str, np.ndarray]] = {}
@@ -310,7 +332,7 @@ def _block_worker(
                 rows = reps[lo : lo + tile]
                 scored = _path_columns(
                     _draws(streams, config.innovations.family, z[: len(rows), :total]),
-                    (*floats, mask), config.innovations, filt.coeffs, config.beta,
+                    (z, *floats, mask), config.innovations, filt.coeffs, config.beta,
                     config.varsigma, burn, points, want_ape,
                 )
                 for n, (cols, bad) in scored.items():
@@ -345,8 +367,11 @@ def sample_statistics(
     runs them over ``workers``, an open pool or a process count (None: the
     usable cores), and they are reassembled in index order.  Each block is
     worked in the tiles of ``streams.tile_rows``, sized once here from the
-    widest path, in ``streams.tile_buffers``, so a process touches a few
-    MiB of fresh memory, not a block's 100 MiB.  The columns at n,
+    widest path, in ``streams.tile_buffers``: the draw tile, two float
+    planes and a bool plane, whose reuse ``_path_columns`` schedules.  So
+    each tile row takes four float planes of its path's length, and a
+    process touches about 2.3 MiB of fresh memory at n = 32000, not a
+    block's 100 MiB.  The columns at n,
     ``resampled`` included, are bit-identical to those of a call with grid
     (n,), whatever the worker count or tile size: streams are keyed by
     replication index.

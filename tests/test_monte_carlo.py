@@ -153,6 +153,15 @@ def test_first_call_allocates_about_a_tile_not_a_block():
     assert _first_call_peak(lambda: sample_statistics(cfg, cfg.n_grid, workers=1)) < 16 * 2**20
 
 
+def test_first_call_scores_each_tile_in_four_float_planes():
+    # the same call: two tile rows of 32001 steps, in the draw tile and
+    # two float planes (about 2.3 MiB); seven planes peaked at 3.8 MiB
+    cfg = config(filter_spec=README_FILTER, n_grid=(500, 32000), reps=64,
+                 innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+                 statistics=("fpe_stat", "excess_ape"))
+    assert _first_call_peak(lambda: sample_statistics(cfg, cfg.n_grid, workers=1)) < 3 * 2**20
+
+
 BROWNIAN_FIRST_CALLS = {
     "constants": lambda: brownian.estimate_constants(m=4096, reps=600, workers=1),
     "limit": lambda: brownian.limit_sample_batch(

@@ -77,6 +77,33 @@ def test_uniform_with_resampled_rows(monkeypatch):
     )
 
 
+def test_cross_moment_shape_without_ape():
+    # want_ape=False at one n, as cross_moment and stationary_comparison
+    # call it; 27 taps, and 300 reps in tiles of 32 rows
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="geometric", a=1.0, r=0.5),
+        innovations=InnovationSpec(sigma_omega_sq=1.5, sigma_sq=1.0, pi=-0.4),
+        beta=1.2, n_grid=(2000,), reps=300, base_seed=7,
+    )
+    assert _columns_digest(sample_statistics(cfg, cfg.n_grid, want_ape=False)) == (
+        "1a7ccf533aa95a0326c5f10cfa83a112ce242bac2398fb0d9c6c8d8b57807799"
+    )
+
+
+def test_stationary_rows_past_the_ar_loop():
+    # burn-in 20 + n 2100 puts each row past linear_process._AR_LOOP_MAX_WIDTH,
+    # so ar1_rows returns scipy's fresh array; 120 reps in tiles of 30 rows
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0, 0.5)),
+        innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=2.0, pi=0.7),
+        beta=0.9, varsigma=0.5, n_grid=(100, 2100), reps=120, base_seed=13,
+        statistics=("fpe_stat", "excess_ape"),
+    )
+    assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
+        "12154fe189b002c6be663f8d2b11cbab77521e789567f0d695fb66b9d5e9d748"
+    )
+
+
 @pytest.mark.parametrize(
     "m,reps,digest",
     [
