@@ -233,6 +233,10 @@ def limit_sample_batch(
     """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts
     redraws.  Batches run over ``workers``, an open pool or a process
     count (None: the usable cores), with equal bits."""
+    if m < 1:
+        raise ConfigError([f"grid size m must be >= 1, got {m}"])
+    if reps < 1:
+        raise ConfigError([f"reps must be >= 1, got {reps}"])
     batches = _map_batches(
         m, 2, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers
     )

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from numbers import Integral
 
 
 class ConfigError(ValueError):
@@ -18,20 +19,37 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+# The integer annotations, as ``from __future__ import annotations`` keeps
+# them, and what a field of each must hold.
+_INTEGER_FIELDS = {"int": "an integer", "tuple[int, ...]": "a tuple of integers"}
+
+
 class Validated:
     """Base of the validated frozen dataclasses: construction raises one
-    ConfigError carrying every problem ``problems()`` reports, after a NaN
-    or infinity in any float or float-tuple field."""
+    ConfigError carrying every problem ``problems()`` reports, after a
+    non-integral value in any int or int-tuple field and a NaN or infinity
+    in any float or float-tuple field.  Integral values of any integer
+    type, numpy's included, are stored as int; ``problems()`` compares
+    them as numbers, so it runs only once every one is an int."""
 
     def __post_init__(self):
-        problems = []
+        problems, integral = [], True
         for f in fields(self):
             value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
+            values = value if isinstance(value, tuple) else (value,)
+            if f.type in _INTEGER_FIELDS:
+                if not all(isinstance(v, Integral) for v in values):
+                    problems.append(f"{f.name} must be {_INTEGER_FIELDS[f.type]}, got {value!r}")
+                    integral = False
+                    continue
+                ints = tuple(map(int, values))
+                object.__setattr__(self, f.name, ints if isinstance(value, tuple) else ints[0])
+            for v in values:
                 if isinstance(v, float) and not math.isfinite(v):
                     problems.append(f"{f.name} must be finite, got {v}")
                     break
-        problems += self.problems()
+        if integral:
+            problems += self.problems()
         if problems:
             raise ConfigError(problems)
 

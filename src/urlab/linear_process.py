@@ -228,17 +228,18 @@ _AR_LOOP_MAX_WIDTH = 2048
 def ar1_rows(x: np.ndarray, varsigma: float) -> np.ndarray:
     """x_t = varsigma * x_{t-1} + x_t along each row from a zero start.
 
-    Rows up to ``_AR_LOOP_MAX_WIDTH`` values run an in-place numpy time
-    loop and return ``x``; its values equal ``signal.lfilter([1.0],
-    [1.0, -varsigma], x, axis=1)`` bit for bit, and only the sign of an
-    exact zero can differ, since scipy carries the state as
-    ``x_{t-1} * 0.0 - y_{t-1} * -varsigma``.  Longer rows return that
-    ``lfilter`` call itself.
+    Integrates ``x`` in place and returns it.  Rows up to
+    ``_AR_LOOP_MAX_WIDTH`` values run a numpy time loop, whose values equal
+    ``signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)`` bit for bit;
+    only the sign of an exact zero can differ, since scipy carries the
+    state as ``x_{t-1} * 0.0 - y_{t-1} * -varsigma``.  Longer rows take
+    that ``lfilter`` call's values themselves.
     """
     if x.shape[1] > _AR_LOOP_MAX_WIDTH:
         from scipy import signal
 
-        return signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)
+        x[...] = signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)
+        return x
     x += 0.0
     for t in range(1, x.shape[1]):
         x[:, t] += x[:, t - 1] * varsigma

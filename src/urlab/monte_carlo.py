@@ -145,7 +145,7 @@ class ExperimentConfig(Validated):
 
     def __post_init__(self):
         if not isinstance(self.n_grid, tuple):
-            object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+            object.__setattr__(self, "n_grid", tuple(self.n_grid))
         if not isinstance(self.statistics, tuple):
             object.__setattr__(self, "statistics", tuple(self.statistics))
         super().__post_init__()
@@ -225,10 +225,6 @@ def _path_columns(
       the u*beta temporary, then u*y for beta_hat, then the running
       prediction error for ape;
     - the bool plane takes ``off``, the pairs with no estimate yet.
-
-    The one exception is a stationary row longer than
-    ``linear_process._AR_LOOP_MAX_WIDTH``: ``ar1_rows`` integrates it into
-    a new array.
     """
     rows, total = z.shape[:2]
     draws, om, eps, flags = work
@@ -238,7 +234,7 @@ def _path_columns(
     if varsigma == 1.0:
         np.cumsum(xs, axis=1, out=xs)
     else:
-        xs = ar1_rows(xs, varsigma)
+        ar1_rows(xs, varsigma)
     n_max = grid[-1]
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}

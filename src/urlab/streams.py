@@ -8,14 +8,14 @@ finish, or how work is chunked.
 
 ``substream`` is the definition of a key's stream.  ``substreams`` is
 the batch path for a block of indices, bit for bit equal to
-``substream`` on each key.  It runs SeedSequence's hashing (pool of 4
-uint32 words) itself: the words of base_seed and role are hashed once,
-and only the index and attempt words are mixed, in uint32 arrays over
-up to ``_BLOCK`` indices at a time.  Each replication then reseeds one
-reused PCG64DXSM by setting its state, which is what seeding from the
-SeedSequence computes.  A block with an index outside [0, 2**32), which
-SeedSequence splits into more than one word, or a negative key part,
-falls back to ``substream``.
+``substream`` on each key.  It restates only the part of SeedSequence's
+hashing (pool of 4 uint32 words) that numpy cannot run over an array of
+indices: numpy hashes base_seed and role into the pool, ``_seed_words``
+mixes in the index and attempt words and hashes the output in uint32
+arrays over up to ``_BLOCK`` indices at a time, and numpy seeds a fresh
+PCG64DXSM from each key's words.  A block with an index outside [0,
+2**32), which SeedSequence splits into more than one word, or a negative
+key part, falls back to ``substream``.
 
 Since every unit of work is keyed this way, it can run in any process:
 ``map_units`` maps a function over index-ordered units, serially or over
@@ -41,6 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, PCG64DXSM, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 # Series roles.  Keep values stable: they are part of the reproducibility
 # contract (changing them reshuffles every seeded experiment).
@@ -65,10 +66,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hashing
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFF_FFFF
-# PCG64's 128-bit LCG multiplier: seeding steps the LCG with it even for
-# the DXSM variant, whose cheap multiplier only drives later draws.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 _BLOCK = 1024  # indices per vectorized pass; bounds the uint32 temporaries
 _TILE_VALUES = 1 << 17  # values per tile of a work unit: 1 MiB of float64
@@ -85,48 +82,33 @@ def _words(value: int) -> list[int]:
     return out
 
 
-def _hashmix(value, hash_const: int):
-    """(hashed word, next hash constant); ``value`` is an int or a uint32 array."""
+def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
+    """(hashed words, next hash constant) of a uint32 array."""
     value = value ^ hash_const
     hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
+    value = value * hash_const
     return value ^ value >> 16, hash_const
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two words: both ints or both uint32 arrays."""
-    out = (x * _MIX_L - y * _MIX_R) & _MASK32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays of words."""
+    out = x * _MIX_L - y * _MIX_R
     return out ^ out >> 16
-
-
-def _pool_before_index(base_seed: int, role: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and entropy hash constant once every word before
-    the index is absorbed: base_seed's words, zero-padded to the pool size
-    as for any spawn key, then role's."""
-    entropy = _words(base_seed)
-    entropy += [0] * (_POOL - len(entropy)) + _words(role)
-    pool, hash_const = [], _INIT_A
-    for word in entropy[:_POOL]:
-        word, hash_const = _hashmix(word, hash_const)
-        pool.append(word)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                word, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], word)
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return tuple(pool), hash_const
 
 
 def _seed_words(base_seed: int, role: int, indices: np.ndarray, attempt: int) -> np.ndarray:
     """(len(indices), 4) uint64: ``SeedSequence(base_seed, spawn_key=(role,
-    i, attempt)).generate_state(4, np.uint64)`` for each i < 2**32."""
+    i, attempt)).generate_state(4, np.uint64)`` for each i < 2**32.
+
+    numpy's pool holds base_seed's words, zero-padded to the pool size as
+    for any spawn key, then role's.  Each word absorbed steps the entropy
+    hash constant once per pool word, whatever its value.
+    """
     k = len(indices)
-    prefix, hash_const = _pool_before_index(base_seed, role)
-    pool = [np.full(k, word, dtype=np.uint32) for word in prefix]
+    absorbed = max(len(_words(base_seed)), _POOL) + len(_words(role))
+    hash_const = _INIT_A * pow(_MULT_A, _POOL * absorbed, 1 << 32) & _MASK32
+    prefix = SeedSequence(base_seed, spawn_key=(role,)).pool
+    pool = [np.full(k, word, dtype=np.uint32) for word in prefix.tolist()]
     attempt_words = [np.full(k, word, dtype=np.uint32) for word in _words(attempt)]
     for word in [indices.astype(np.uint32)] + attempt_words:
         for dst in range(_POOL):
@@ -142,34 +124,31 @@ def _seed_words(base_seed: int, role: int, indices: np.ndarray, attempt: int) ->
     return state.view("<u8").astype(np.uint64)
 
 
+class _SeedWords(ISeedSequence):
+    """One key's four uint64 seed words, which is all PCG64DXSM asks of
+    its seed sequence: ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def substreams(
     base_seed: int, role: int, indices: np.ndarray, attempt: int = 0
 ) -> Iterator[Generator]:
     """The generators ``substream(base_seed, role, i, attempt)`` for each i
-    of ``indices``, in order and bit for bit.
-
-    One generator is reseeded for every index, so each must be used up
-    before the next one is taken.
-    """
+    of ``indices``, in order and bit for bit, each a generator of its own."""
     indices = np.asarray(indices, dtype=np.int64)
-    bitgen = PCG64DXSM(0)
-    rng = Generator(bitgen)
-    state = {"bit_generator": "PCG64DXSM", "state": None, "has_uint32": 0, "uinteger": 0}
     for start in range(0, len(indices), _BLOCK):
         block = indices[start : start + _BLOCK]
         if min(base_seed, role, attempt, block.min()) < 0 or block.max() > _MASK32:
             for index in block.tolist():
                 yield substream(base_seed, role, index, attempt)
             continue
-        for hi, lo, seq_hi, seq_lo in _seed_words(base_seed, role, block, attempt).tolist():
-            # pcg64_set_seed: state 0, step, add the seed, step
-            inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-            state["state"] = {
-                "state": (((hi << 64) | lo) + inc) * _PCG_MULT + inc & _MASK128,
-                "inc": inc,
-            }
-            bitgen.state = state
-            yield rng
+        for words in _seed_words(base_seed, role, block, attempt):
+            yield Generator(PCG64DXSM(_SeedWords(words)))
 
 
 def usable_cores() -> int:

@@ -344,6 +344,17 @@ def test_estimate_constants_validation():
         estimate_constants(m=64, reps=1)
 
 
+@pytest.mark.parametrize("m,reps,problem", [
+    (0, 4, "m must be >= 1, got 0"),
+    (-3, 4, "m must be >= 1, got -3"),
+    (16, 0, "reps must be >= 1, got 0"),
+    (16, -2, "reps must be >= 1, got -2"),
+])
+def test_limit_sample_batch_refuses_bad_sizes(m, reps, problem):
+    with pytest.raises(ConfigError, match=problem):
+        limit_sample_batch(unit_params(), m, reps, base_seed=0)
+
+
 # -------------------------------------------------------------- formula
 
 def test_mse_limit_formula_corners():

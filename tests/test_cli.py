@@ -412,6 +412,18 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, subcommand, edits
     assert not (tmp_path / "o").exists()
 
 
+def test_integer_fields_of_every_spec_refuse_floats():
+    with pytest.raises(ConfigError, match="truncation_lag must be an integer, got 2.0"):
+        FilterSpec(family="geometric", a=1.0, r=0.5, truncation_lag=2.0)
+    with pytest.raises(ConfigError) as exc:
+        Targets(m_log2=8.5, bm_reps=1000.0)
+    assert exc.value.problems == [
+        "m_log2 must be an integer, got 8.5",
+        "bm_reps must be an integer, got 1000.0",
+    ]
+    assert type(Targets(limit_reps=np.int64(2000)).limit_reps) is int
+
+
 def test_broken_pool_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise BrokenProcessPool("a worker process terminated abruptly")

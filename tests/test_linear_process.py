@@ -282,10 +282,11 @@ def test_ar1_rows_match_lfilter(varsigma, width):
 
 
 def test_ar1_rows_works_in_place():
-    x = np.arange(12.0).reshape(3, 4)
-    view = x[:, 1:]
-    assert ar1_rows(view, 0.5) is view
-    np.testing.assert_array_equal(x[0], [0.0, 1.0, 2.5, 4.25])
+    for width in (3, _AR_LOOP_MAX_WIDTH + 1):  # the numpy loop, then scipy
+        x = np.arange(3.0 * (width + 1)).reshape(3, width + 1)
+        view = x[:, 1:]
+        assert ar1_rows(view, 0.5) is view
+        np.testing.assert_array_equal(x[0, :4], [0.0, 1.0, 2.5, 4.25])
 
 
 # ---------------------------------------------------------- import path

@@ -71,6 +71,31 @@ def test_config_rejects_tiny_n():
         config(n_grid=(2,))
 
 
+@pytest.mark.parametrize("n_grid", [[50.5], (50.5,), [50.0, 100], (50.0, 100)])
+def test_config_refuses_a_non_integral_n(n_grid):
+    with pytest.raises(ConfigError, match="n_grid must be a tuple of integers"):
+        config(n_grid=n_grid)
+
+
+def test_config_refuses_non_integral_counts():
+    with pytest.raises(ConfigError) as exc:
+        config(reps=100.0, base_seed=1.5)
+    assert exc.value.problems == [
+        "reps must be an integer, got 100.0",
+        "base_seed must be an integer, got 1.5",
+    ]
+    # no comparison of a string with a number escapes as a TypeError
+    with pytest.raises(ConfigError, match="reps must be an integer, got '5'"):
+        config(reps="5")
+
+
+@pytest.mark.parametrize("n_grid", [[np.int64(50), 100], (np.int32(50), np.uint16(100))])
+def test_config_stores_integer_types_as_int(n_grid):
+    cfg = config(n_grid=n_grid, reps=np.int64(200), base_seed=np.uint32(3))
+    assert cfg.n_grid == (50, 100) and cfg.reps == 200 and cfg.base_seed == 3
+    assert {type(v) for v in (*cfg.n_grid, cfg.reps, cfg.base_seed)} == {int}
+
+
 # ---------------------------------------------------------- determinism
 
 def test_run_is_deterministic():

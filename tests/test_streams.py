@@ -48,6 +48,13 @@ def test_batch_streams_equal_substream(role, attempt):
         _assert_equal_streams(base_seed, role, [0, 1, 2, 999, 2**31, WORD - 2, WORD - 1], attempt)
 
 
+def test_batch_streams_are_independent_generators():
+    gens = list(substreams(7, ROLE_PATH, np.arange(5), 0))
+    for i in reversed(range(5)):
+        ref = substream(7, ROLE_PATH, i, 0)
+        assert gens[i].standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), i
+
+
 def test_seed_words_equal_seed_sequence():
     indices = np.array([0, 5, 2**20, WORD - 1])
     for base_seed in BASE_SEEDS:
