@@ -1,27 +1,25 @@
 """Direct simulation of the Brownian-functional limit laws.
 
-Normalized on [0, 1]: a path is m Gaussian increments of variance 1/m,
-integrals are left-endpoint Riemann/Ito sums.  Left endpoints are
-correctness-critical, not a discretization taste: midpoint or right
-sums push the self-integral to the Stratonovich value and every
-constant below drifts by a w^2 term.
+Normalized on [0, 1]: a grid-m path is m Gaussian increments of variance
+1/m, and integrals are left-endpoint Riemann/Ito sums.  Left endpoints are
+correctness-critical, not a discretization taste: midpoint or right sums
+push the self-integral to the Stratonovich value and every constant below
+drifts by a w^2 term.  ``BmPath`` and ``limit_sample`` are the reference.
 
-``estimate_constants`` (ROLE_CONSTANTS, grid 2m) and
-``limit_sample_batch`` (ROLE_BM, grid m) share one work unit, ``_batch``,
-and one policy.  Batch b is drawn from substream(base_seed, role, b).  A
-path whose time integral Q is under the floor (for the constants, at
-either grid) is redrawn from substream(base_seed, role, path index,
-attempt), attempt 1 ... 64, and counted; ResamplePathError ends the run
-if none clears it.  A batch depends on nothing but its key, so
-``streams.map_units`` runs the batches over ``workers``, serially, over
-a caller's open pool or over a pool of its own (by default one process
-per usable core), and the samplers combine them in batch order.
-
-Within a batch, ``_scored`` draws, sums and scores one tile of
-``streams.tile_rows`` at a time in the thread's two reused
-``streams.tile_buffers``.  Consecutive tiles continue the batch's
-stream and every score reduces along a path, so the tile size changes no
-bit; a redrawn path goes through the same buffers.
+The batch samplers build no path.  What they sample depends on one only
+through Q, W(1) and sum dw^2 (I_aa = (W(1)^2 - sum dw^2) / 2; I_ab given
+the path is N(0, Q)), and ``_constant_draws`` scores these from a path's
+first K = min(_TERMS, m - 1) coordinates in the walk's closed-form
+eigenbasis, tails in closed form (``_spectrum``; the README derives it):
+about K + 4 draws whatever m, and with K = m - 1 the grid law exactly.
+``estimate_constants`` (ROLE_CONSTANTS) scores each path at grids m and 2m
+on common draws, ``limit_sample_batch`` (ROLE_BM) at m.  Batch b draws
+from substream(base_seed, role, b): per-path scalars, then coordinates
+tile by tile in the thread's ``streams.tile_buffers``, so the tile size
+changes no bit.  A path whose Q is under the floor (constants: at either
+grid) is redrawn from substream(base_seed, role, index, attempt), attempt
+1 ... 64, and counted; ResamplePathError ends the run if none clears it.
+Q is at least its tail mean, so this happens only when K = m - 1.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -46,7 +44,7 @@ _TIME_INTEGRAL_FLOOR = 1e-12
 # the retries would otherwise never end.
 _MAX_RESAMPLE_ATTEMPTS = 64
 
-# Rows per generation batch, sized so a batch stays near 16 MiB of draws.
+# Values per generation batch (draws per path times paths), about 16 MiB.
 # A batch is the stream key: batch b draws from substream(base_seed, role, b).
 _BATCH_VALUES = 1 << 21
 
@@ -54,6 +52,10 @@ _BATCH_VALUES = 1 << 21
 # form in m - 1 Gaussians, so E[Q^-2], which K2's standard error needs, is
 # finite only when m - 1 > 4; below that the reported se means nothing.
 _MIN_CONSTANTS_GRID = 8
+
+# Eigenpairs drawn per path.  Putting the rest at their mean moves E[1/Q] at
+# m = 4096 by about -3.5e-5, forty times less than the grid's own bias.
+_TERMS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,24 +162,45 @@ def limit_sample(path: BmPath, p: LimitParams) -> dict:
     }
 
 
-def _divisor(q: np.ndarray) -> np.ndarray:
-    # rows under the floor are redrawn unread; 1 keeps them from dividing by 0
-    return np.where(q < _TIME_INTEGRAL_FLOOR, 1.0, q)
+@lru_cache(maxsize=8)
+def _spectrum(m: int, terms: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(a, c, q_tail, x_tail) of the grid-m walk's first ``terms``
+    eigenpairs: Q = sum_j a_j w_j^2 + q_tail and sqrt(m) W(1) = sum_j c_j
+    w_j + x_tail g + z_m.  The arrays are read-only, since calls share them."""
+    k = m - 1
+    angle = (2 * np.arange(1, terms + 1) - 1) * (math.pi / (2 * (2 * k + 1)))
+    lam = 0.25 / np.sin(angle) ** 2
+    c = np.sqrt(lam * (4 / (2 * k + 1))) * np.abs(np.sin(2 * k * angle))
+    q_tail = (k * (k + 1) / 2 - float(lam.sum())) / m**2 if terms < k else 0.0
+    x_tail = math.sqrt(k - float(np.dot(c, c))) if terms < k else 0.0
+    a = lam / m**2
+    a.flags.writeable = c.flags.writeable = False
+    return a, c, q_tail, x_tail
 
 
-def _batch(m: int, width: int, rows: int, tile: int, reps: int, base_seed: int, role: int,
-           score, batch: int):
-    """(values, redrawn) of batch ``batch`` of (rows, m, width) draws, with
-    ``score(levels, z)`` -> (Q, values), one value column per path."""
+def _constant_draws(m: int, w: np.ndarray, g, z_m, chi_sq) -> tuple[np.ndarray, ...]:
+    """(Q, W(1), I_aa) at grid m of paths with coordinates ``w`` (one row
+    each), tail normal ``g``, last increment ``z_m`` and tail chi-square."""
+    a, c, q_tail, x_tail = _spectrum(m, w.shape[1])
+    q = np.einsum("ij,ij,j->i", w, w, a) + q_tail
+    w1 = (np.einsum("ij,j->i", w, c) + x_tail * g + z_m) / math.sqrt(m)
+    sum_sq = (np.einsum("ij,ij->i", w, w) + chi_sq + z_m**2) / m
+    return q, w1, 0.5 * (w1**2 - sum_sq)
+
+
+def _batch(terms: int, draws: tuple, rows: int, tile: int, reps: int, base_seed: int,
+           role: int, score, batch: int):
+    """(values, redrawn) of batch ``batch`` of ``rows`` paths; ``score(w,
+    *per_path)`` -> (Q, values) divides by max(Q, floor), as rows under the
+    floor are redrawn unread."""
     start = batch * rows
-    q, values = _scored(substream(base_seed, role, batch), min(rows, reps - start),
-                        m, width, tile, score)
+    draw = partial(_scored, terms=terms, draws=draws, tile=tile, score=score)
+    q, values = draw(substream(base_seed, role, batch), min(rows, reps - start))
     redraw = np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]
     for r in redraw:
         index = start + int(r)
         for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
-            rng = substream(base_seed, role, index, attempt)
-            q1, new = _scored(rng, 1, m, width, tile, score)
+            q1, new = draw(substream(base_seed, role, index, attempt), 1)
             if q1[0] >= _TIME_INTEGRAL_FLOOR:
                 values[:, r] = new[:, 0]
                 break
@@ -189,41 +212,45 @@ def _batch(m: int, width: int, rows: int, tile: int, reps: int, base_seed: int, 
     return values, len(redraw)
 
 
-def _scored(rng, paths: int, m: int, width: int, tile: int, score):
-    """``score`` -> (Q, values) of ``paths`` paths drawn from ``rng``,
-    ``tile`` rows at a time in the thread's reused buffers."""
-    z, levels = tile_buffers(((tile, m, width), float), ((tile, m + 1), float))
-    scale = math.sqrt(1.0 / m)
-    qs, values = [], []
+def _scored(rng, paths: int, terms: int, draws: tuple, tile: int, score):
+    """``score`` -> (Q, values) of ``paths`` paths from ``rng``: each path's
+    ``draws`` (None: a normal, else a chi-square on that many degrees, 0 on
+    0), then its ``terms`` coordinates, ``tile`` rows at a time."""
+    per_path = [rng.standard_normal(paths) if dof is None else
+                rng.chisquare(dof, paths) if dof else np.zeros(paths) for dof in draws]
+    (w,) = tile_buffers(((tile, terms), float))
+    scores = []
     for lo in range(0, paths, tile):
-        zt = z[: min(tile, paths - lo)]
-        rng.standard_normal(out=zt)
-        zt *= scale
-        lev = levels[: len(zt)]
-        lev[:, 0] = 0.0
-        np.cumsum(zt[:, :, 0], axis=1, out=lev[:, 1:])
-        q, v = score(lev, zt)
-        qs.append(q)
-        values.append(v)
+        wt = w[: min(tile, paths - lo)]
+        rng.standard_normal(out=wt)
+        scores.append(score(wt, *(x[lo : lo + len(wt)] for x in per_path)))
+    qs, values = zip(*scores)
     return np.concatenate(qs), np.concatenate(values, axis=1)
 
 
-def _map_batches(m, width, reps, base_seed, role, score, workers) -> list:
-    """[(values, redrawn)] of every batch, in batch order, from
-    ``streams.map_units``."""
-    rows = min(max(1, _BATCH_VALUES // (m * width)), reps)
-    work = partial(_batch, m, width, rows, tile_rows(rows, m * width), reps, base_seed, role, score)
-    return map_units(work, range(-(-reps // rows)), workers)
+def _sampled(m, extra, reps, base_seed, role, score, workers):
+    """(values, redrawn) of ``reps`` grid-m paths, whose scalars are the
+    tail chi-square, g, z_m and ``extra`` (a ``_scored`` draw)."""
+    terms = min(_TERMS, m - 1)
+    draws = (m - 1 - terms, None, None, extra)
+    width = terms + len(draws)
+    rows = min(max(1, _BATCH_VALUES // width), reps)
+    # half a tile of draws: as fast as a whole one, and half the memory
+    work = partial(_batch, terms, draws, rows, tile_rows(rows, 2 * width), reps, base_seed,
+                   role, score)
+    # an open pool takes even one batch, keeping the paths out of a run's process
+    mapped = workers.map if hasattr(workers, "map") else partial(map_units, workers=workers)
+    batches = list(mapped(work, range(-(-reps // rows))))
+    return (np.concatenate([values for values, _ in batches], axis=1),
+            sum(redrawn for _, redrawn in batches))
 
 
-def _limit_score(p: LimitParams, m: int, lev: np.ndarray, z: np.ndarray):
-    w = lev[:, :-1]
-    q = np.einsum("ij,ij->i", w, w) / m
-    i_aa = np.einsum("ij,ij->i", w, z[:, :, 0])
-    i_ab = np.einsum("ij,ij->i", w, z[:, :, 1])
-    num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * i_ab) ** 2
-    q_sq = _divisor(q) ** 2
-    return q, np.stack((lev[:, -1] ** 2 * num / q_sq, num / (p.lam**2 * q_sq)))
+def _limit_score(p: LimitParams, m: int, w: np.ndarray, chi_sq, g, z_m, u):
+    """(Q, [fpe draws, mse draws]) of grid-m paths; I_ab = sqrt(Q) u."""
+    q, w1, i_aa = _constant_draws(m, w, g, z_m, chi_sq)
+    num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * np.sqrt(q) * u) ** 2
+    q_sq = np.maximum(q, _TIME_INTEGRAL_FLOOR) ** 2
+    return q, np.stack((w1**2 * num / q_sq, num / (p.lam**2 * q_sq)))
 
 
 def limit_sample_batch(
@@ -237,11 +264,8 @@ def limit_sample_batch(
         raise ConfigError([f"grid size m must be >= 1, got {m}"])
     if reps < 1:
         raise ConfigError([f"reps must be >= 1, got {reps}"])
-    batches = _map_batches(
-        m, 2, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers
-    )
-    draws = np.concatenate([values for values, _ in batches], axis=1)
-    resampled = sum(redrawn for _, redrawn in batches)
+    draws, resampled = _sampled(m, None, reps, base_seed, ROLE_BM, partial(_limit_score, p, m),
+                                workers)
     return {"fpe_limit_draw": draws[0], "mse_limit_draw": draws[1], "resampled": resampled}
 
 
@@ -275,8 +299,9 @@ class ConstantsReport:
     k2: ConstantEstimate
     k1_refined: ConstantEstimate
     k2_refined: ConstantEstimate
-    k1_gap: float  # |K1(m) - K1(2m)| on common paths
+    k1_gap: float  # |K1(m) - K1(2m)| on common draws
     k2_gap: float
+    resampled: int  # paths redrawn because Q fell under the floor
 
     def as_dict(self) -> dict:
         """JSON-ready nested dict; keys follow field order."""
@@ -287,62 +312,36 @@ def estimate_constants(
     m: int = 1 << 12, reps: int = 200_000, base_seed: int = 0,
     workers: int | Executor | None = None,
 ) -> ConstantsReport:
-    """Monte Carlo estimates of K1 = E[(I/Q)^2] and K2 = E[1/Q].
-
-    Paths are simulated once at grid 2m and coarsened to m by summing
-    increment pairs (exact in law), so the (m, 2m) refinement gap is a
-    matched-path discretization measurement rather than two noisy runs.
-    Batches run as in ``limit_sample_batch``, with equal bits whatever
-    ``workers``.
-    """
+    """Monte Carlo estimates of K1 = E[(I/Q)^2] and K2 = E[1/Q] at grids m
+    and 2m on common draws, so the (m, 2m) gap is a matched discretization
+    measurement, not two noisy runs.  Bits are equal whatever ``workers``."""
     if m < _MIN_CONSTANTS_GRID:
         raise ConfigError([f"grid size m must be >= {_MIN_CONSTANTS_GRID}, got {m}"])
     if reps < 2:
         raise ConfigError([f"reps must be >= 2, got {reps}"])
-    m_fine = 2 * m
-    batches = _map_batches(
-        m_fine, 1, reps, base_seed, ROLE_CONSTANTS, partial(_constants_score, m), workers
-    )
-    sums = sums_sq = gaps = 0.0
-    for draws, _ in batches:
-        sums += draws.sum(axis=1)
-        sums_sq += (draws**2).sum(axis=1)
-        gaps += (draws[:2] - draws[2:]).sum(axis=1)
-    means = sums / reps
-    variances = np.maximum(sums_sq / reps - means**2, 0.0)
-    ses = np.sqrt(variances / (reps - 1))
-    mk = lambda name, j, grid: ConstantEstimate(
-        name, float(means[j]), float(ses[j]), grid, reps, base_seed, "estimated"
-    )
-    return ConstantsReport(
-        m=m,
-        reps=reps,
-        seed=base_seed,
-        k1=mk("K1", 0, m),
-        k2=mk("K2", 1, m),
-        k1_refined=mk("K1", 2, m_fine),
-        k2_refined=mk("K2", 3, m_fine),
-        k1_gap=abs(float(gaps[0] / reps)),
-        k2_gap=abs(float(gaps[1] / reps)),
-    )
+    draws, resampled = _sampled(m, m, reps, base_seed, ROLE_CONSTANTS,
+                                partial(_constants_score, m), workers)
+    means = draws.mean(axis=1)
+    draws -= means[:, None]
+    ses = np.sqrt(np.square(draws, out=draws).mean(axis=1) / (reps - 1))
+    estimates = [
+        ConstantEstimate(name, float(mean), float(se), grid, reps, base_seed, "estimated")
+        for name, mean, se, grid in zip(("K1", "K2") * 2, means, ses, (m, m, 2 * m, 2 * m))
+    ]
+    gaps = (abs(float(gap)) for gap in means[:2] - means[2:])
+    return ConstantsReport(m, reps, base_seed, *estimates, *gaps, resampled)
 
 
-def _constants_score(m: int, lev_f: np.ndarray, z: np.ndarray):
-    """(min Q, draws) at grids m and 2m of paths drawn at 2m."""
-    dw_f = z[:, :, 0]
-    q_f, k1_f, k2_f = _constant_draws(lev_f, dw_f, 2 * m)
-    # a length-2 axis reduction is ~10x slower than this, with equal bits
-    q_c, k1_c, k2_c = _constant_draws(lev_f[:, ::2], dw_f[:, 0::2] + dw_f[:, 1::2], m)
-    return np.minimum(q_c, q_f), np.stack((k1_c, k2_c, k1_f, k2_f))
-
-
-def _constant_draws(lev: np.ndarray, dw: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """(Q, K1 draw, K2 draw) per path at grid m."""
-    w = lev[:, :-1]
-    q = np.einsum("ij,ij->i", w, w) / m
-    i_self = np.einsum("ij,ij->i", w, dw)
-    d = _divisor(q)
-    return q, (i_self / d) ** 2, 1.0 / d
+def _constants_score(m: int, w: np.ndarray, chi_sq, g, z_m, chi_sq_extra):
+    """(min Q, [K1, K2 at m, K1, K2 at 2m]): w, g and z_m feed both spectra,
+    and the fine tail's chi-square adds ``chi_sq_extra``, on m degrees."""
+    qs, draws = [], []
+    for grid, tail in ((m, chi_sq), (2 * m, chi_sq + chi_sq_extra)):
+        q, _, i_aa = _constant_draws(grid, w, g, z_m, tail)
+        d = np.maximum(q, _TIME_INTEGRAL_FLOOR)
+        qs.append(q)
+        draws += [(i_aa / d) ** 2, 1.0 / d]
+    return np.minimum(*qs), np.stack(draws)
 
 
 def mse_limit_formula(

@@ -78,10 +78,10 @@ class Targets(Validated):
     def problems(self) -> list[str]:
         """Every violated constraint, empty when the targets are valid."""
         out = []
-        # estimate_constants' grid floor, and a path drawn at the refined
-        # grid 2m must fit one batch of brownian._BATCH_VALUES
+        # estimate_constants' grid floor; past 2^20 the grid's bias in K2,
+        # about 5.6 / m, is below any standard error a run can reach
         m_log2_min = brownian._MIN_CONSTANTS_GRID.bit_length() - 1
-        m_log2_max = brownian._BATCH_VALUES.bit_length() - 2
+        m_log2_max = 20
         if not m_log2_min <= self.m_log2 <= m_log2_max:
             out.append(f"m_log2 must be >= {m_log2_min} and <= {m_log2_max}, got {self.m_log2}")
         # the KS distance needs KS_MIN_SAMPLES draws per side, and a negative

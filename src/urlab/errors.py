@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import fields
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ConfigError(ValueError):
@@ -19,28 +19,39 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-# The integer annotations, as ``from __future__ import annotations`` keeps
-# them, and what a field of each must hold.
+# The integer and float annotations, as ``from __future__ import
+# annotations`` keeps them, and what a field of each must hold.
 _INTEGER_FIELDS = {"int": "an integer", "tuple[int, ...]": "a tuple of integers"}
+_REAL_FIELDS = {
+    "float": "a number",
+    "float | None": "a number or None",
+    "tuple[float, ...] | None": "a tuple of numbers or None",
+}
 
 
 class Validated:
     """Base of the validated frozen dataclasses: construction raises one
     ConfigError carrying every problem ``problems()`` reports, after a
-    non-integral value in any int or int-tuple field and a NaN or infinity
-    in any float or float-tuple field.  Integral values of any integer
-    type, numpy's included, are stored as int; ``problems()`` compares
-    them as numbers, so it runs only once every one is an int."""
+    non-integral value in any int or int-tuple field, a non-number in any
+    float or float-tuple field and a NaN or infinity in any of the latter.
+    Integral values of any integer type, numpy's included, are stored as
+    int; ``problems()`` compares them as numbers, so it runs only once
+    every numeric field holds numbers and every integer field an int."""
 
     def __post_init__(self):
-        problems, integral = [], True
+        problems, numeric = [], True
         for f in fields(self):
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
+            real = f.type in _REAL_FIELDS and value is not None
+            if real and not all(isinstance(v, Real) for v in values):
+                problems.append(f"{f.name} must be {_REAL_FIELDS[f.type]}, got {value!r}")
+                numeric = False
+                continue
             if f.type in _INTEGER_FIELDS:
                 if not all(isinstance(v, Integral) for v in values):
                     problems.append(f"{f.name} must be {_INTEGER_FIELDS[f.type]}, got {value!r}")
-                    integral = False
+                    numeric = False
                     continue
                 ints = tuple(map(int, values))
                 object.__setattr__(self, f.name, ints if isinstance(value, tuple) else ints[0])
@@ -48,7 +59,7 @@ class Validated:
                 if isinstance(v, float) and not math.isfinite(v):
                     problems.append(f"{f.name} must be finite, got {v}")
                     break
-        if integral:
+        if numeric:
             problems += self.problems()
         if problems:
             raise ConfigError(problems)

@@ -46,8 +46,8 @@ from numpy.random.bit_generator import ISeedSequence
 # Series roles.  Keep values stable: they are part of the reproducibility
 # contract (changing them reshuffles every seeded experiment).
 ROLE_PATH = 0       # finite-n trajectory innovations, one stream per replication
-ROLE_BM = 1         # Brownian increment batches for limit-law sampling
-ROLE_CONSTANTS = 2  # Brownian increment batches for constant estimation
+ROLE_BM = 1         # Brownian batches for limit-law sampling
+ROLE_CONSTANTS = 2  # Brownian batches for constant estimation
 
 
 def substream(base_seed: int, role: int, index: int, attempt: int = 0) -> Generator:

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -130,23 +131,69 @@ def test_limit_sample_formula_by_hand():
     assert out["mse_limit_draw"] == pytest.approx(num / (p.lam**2 * q**2), rel=1e-12)
 
 
+def walk_basis(m: int) -> np.ndarray:
+    """Orthonormal eigenvectors of the grid-m walk's level form L'L, as
+    columns in brownian._spectrum's order, each signed to sum to c_j >= 0."""
+    k = m - 1
+    i, j = np.ogrid[1 : k + 1, 1 : k + 1]
+    v = math.sqrt(4 / (2 * k + 1)) * np.sin((2 * j - 1) * (k + 1 - i) * math.pi / (2 * k + 1))
+    return v * np.sign(v.sum(axis=0))
+
+
+def grid_path(m: int, w: np.ndarray, z_m: float, u: float) -> BmPath:
+    """The grid-m path whose standardized increments rotate to (w, z_m),
+    with a b path whose Ito integral against it is sqrt(Q) u."""
+    dwa = np.append(walk_basis(m) @ w, z_m) / math.sqrt(m)
+    wa = np.concatenate(([0.0], np.cumsum(dwa)))
+    dwb = u * wa[:-1] / (m * math.sqrt(time_integral_sq(wa)))
+    return BmPath(m, dwa, dwb, wa, np.concatenate(([0.0], np.cumsum(dwb))))
+
+
+@pytest.mark.parametrize("m", [2, 8, 16, 65])
+def test_spectral_scorer_reproduces_grid_paths(m):
+    # with every eigenpair (K = m - 1) the spectral scorer is the grid law:
+    # fed a path's increments rotated into the walk's eigenbasis, it gives
+    # that path's Q, W(1) and I_aa, and the limit draws given its I_ab
+    k = m - 1
+    basis = walk_basis(m)
+    level_form = (k + 1) - np.maximum.outer(np.arange(1, k + 1), np.arange(1, k + 1))
+    a, c, q_tail, x_tail = brownian._spectrum(m, k)
+    assert np.allclose(basis.T @ basis, np.eye(k), rtol=0, atol=1e-13)
+    assert np.allclose(basis.T @ level_form @ basis, np.diag(a * m**2), rtol=1e-12, atol=1e-10)
+    assert np.allclose(basis.sum(axis=0), c, rtol=1e-12, atol=1e-13)
+    assert q_tail == x_tail == 0.0
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    zero = np.zeros(1)
+    for seed in range(20):
+        path = BmPath.generate(m, substream(seed, ROLE_BM, 0))
+        z = path.dwa * math.sqrt(m)
+        w = (basis.T @ z[:-1])[None, :]
+        q, w1, i_aa = brownian._constant_draws(m, w, zero, z[-1:], zero)
+        assert q[0] == pytest.approx(time_integral_sq(path.wa), rel=1e-12)
+        assert w1[0] == pytest.approx(path.wa[-1], rel=1e-12, abs=1e-12)
+        assert i_aa[0] == pytest.approx(ito_integral(path.wa, path.dwa), rel=1e-12, abs=1e-12)
+        u = np.array([ito_integral(path.wa, path.dwb) / math.sqrt(q[0])])
+        _, draws = brownian._limit_score(p, m, w, zero, zero, z[-1:], u)
+        want = limit_sample(path, p)
+        # the draws square rho sig_w I_aa + sig_t I_ab, which may cancel
+        assert draws[0, 0] == pytest.approx(want["fpe_limit_draw"], rel=1e-9)
+        assert draws[1, 0] == pytest.approx(want["mse_limit_draw"], rel=1e-9)
+
+
 def test_batch_matches_scalar_draws():
     p = unit_params()
-    m, reps = 128, 64
+    m, reps = 64, 64
     batch = limit_sample_batch(p, m, reps, base_seed=3)
-    # the batch draws one stream per fixed-width block; replay it
+    # one batch: at m = 64 every eigenpair is drawn, so no chi-square tail;
+    # the per-path normals (g, z_m, u), then the 63 walk coordinates of
+    # each path
     rng = substream(3, ROLE_BM, 0)
-    z = rng.standard_normal((reps, m, 2)) * math.sqrt(1.0 / m)
+    _, z_m, u = rng.standard_normal((3, reps))
+    w = rng.standard_normal((reps, m - 1))
     for k in (0, 17, 63):
-        dwa, dwb = z[k, :, 0], z[k, :, 1]
-        path = BmPath(
-            m=m, dwa=dwa, dwb=dwb,
-            wa=np.concatenate(([0.0], np.cumsum(dwa))),
-            wb=np.concatenate(([0.0], np.cumsum(dwb))),
-        )
-        out = limit_sample(path, p)
-        assert batch["fpe_limit_draw"][k] == pytest.approx(out["fpe_limit_draw"], rel=1e-12)
-        assert batch["mse_limit_draw"][k] == pytest.approx(out["mse_limit_draw"], rel=1e-12)
+        out = limit_sample(grid_path(m, w[k], z_m[k], u[k]), p)
+        assert batch["fpe_limit_draw"][k] == pytest.approx(out["fpe_limit_draw"], rel=1e-9)
+        assert batch["mse_limit_draw"][k] == pytest.approx(out["mse_limit_draw"], rel=1e-9)
 
 
 def test_batch_deterministic_and_seed_sensitive():
@@ -172,59 +219,66 @@ def test_resampling_is_bounded(monkeypatch):
 def test_both_samplers_redraw_degenerate_paths_alike(monkeypatch):
     # a raised floor flags a few of 200 paths at m = 16 in each sampler; a
     # flagged path is replaced by the first of its (index, attempt) streams
-    # that clears the floor
+    # that clears the floor.  At m = 16 every eigenpair is drawn, so the
+    # grid-m side is the exact grid path.
     floor, m, reps, seed = 0.04, 16, 200, 3
     monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
 
+    def limit_path(rng, paths):
+        _, z_m, u = rng.standard_normal((3, paths))
+        w = rng.standard_normal((paths, m - 1))
+        return [grid_path(m, w[i], z_m[i], u[i]) for i in range(paths)]
+
     out = limit_sample_batch(p, m, reps, base_seed=seed)
-    z = substream(seed, ROLE_BM, 0).standard_normal((reps, m, 2)) * math.sqrt(1.0 / m)
     redrawn = 0
-    for i in range(reps):
-        wa, wb = (np.concatenate(([0.0], np.cumsum(z[i, :, j]))) for j in (0, 1))
-        path, attempt = BmPath(m, z[i, :, 0], z[i, :, 1], wa, wb), 0
+    for i, path in enumerate(limit_path(substream(seed, ROLE_BM, 0), reps)):
+        attempt = 0
         while time_integral_sq(path.wa) < floor:
             attempt += 1
             assert attempt <= 64
-            path = BmPath.generate(m, substream(seed, ROLE_BM, i, attempt))
+            (path,) = limit_path(substream(seed, ROLE_BM, i, attempt), 1)
         redrawn += attempt > 0
         want = limit_sample(path, p)
         for key in ("fpe_limit_draw", "mse_limit_draw"):
-            assert out[key][i] == pytest.approx(want[key], rel=1e-12)
+            assert out[key][i] == pytest.approx(want[key], rel=1e-9)
     assert out["resampled"] == redrawn > 0
 
-    # constants: a path is redrawn when Q at either grid is under the floor
-    def draws(dw):
-        lev_f = np.concatenate(([0.0], np.cumsum(dw)))
-        grids = ((lev_f[::2], dw[0::2] + dw[1::2]), (lev_f, dw))
-        qs = [time_integral_sq(lev) for lev, _ in grids]
-        ks = [(ito_integral(lev, inc) / q) ** 2 for (lev, inc), q in zip(grids, qs)]
-        return min(qs), (ks[0], 1.0 / qs[0], ks[1], 1.0 / qs[1])
+    # constants: a path is redrawn when Q at either grid is under the floor;
+    # the grid-2m side draws its tail: the grid-m tail has 0 degrees, so
+    # the fine chi-square is the extra one on m degrees, drawn after g, z_m
+    def constant_rows(rng, paths):
+        g, z_m = rng.standard_normal((2, paths))
+        chi_sq = rng.chisquare(m, paths)
+        w = rng.standard_normal((paths, m - 1))
+        q_f, _, i_f = brownian._constant_draws(2 * m, w, g, z_m, chi_sq)
+        for i in range(paths):
+            path = grid_path(m, w[i], z_m[i], 0.0)
+            q_c, i_c = time_integral_sq(path.wa), ito_integral(path.wa, path.dwa)
+            yield min(q_c, q_f[i]), ((i_c / q_c) ** 2, 1.0 / q_c, (i_f[i] / q_f[i]) ** 2, 1.0 / q_f[i])
 
     report = estimate_constants(m=m, reps=reps, base_seed=seed)
-    dw = substream(seed, ROLE_CONSTANTS, 0).standard_normal((reps, 2 * m)) * math.sqrt(0.5 / m)
     rows, redrawn = [], 0
-    for i in range(reps):
-        (q, row), attempt = draws(dw[i]), 0
+    for i, (q, row) in enumerate(constant_rows(substream(seed, ROLE_CONSTANTS, 0), reps)):
+        attempt = 0
         while q < floor:
             attempt += 1
             assert attempt <= 64
-            rng = substream(seed, ROLE_CONSTANTS, i, attempt)
-            q, row = draws(rng.standard_normal(2 * m) * math.sqrt(0.5 / m))
+            ((q, row),) = constant_rows(substream(seed, ROLE_CONSTANTS, i, attempt), 1)
         redrawn += attempt > 0
         rows.append(row)
-    assert redrawn > 0
+    assert report.resampled == redrawn > 0
     got = (report.k1, report.k2, report.k1_refined, report.k2_refined)
     for est, want in zip(got, np.mean(rows, axis=0)):
-        assert est.value == pytest.approx(want, rel=1e-12)
+        assert est.value == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "redraws"])
 def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
-    # a batch of 30 paths at grid 32 (16 with two columns): 200 paths make
-    # 7 batches in each sampler; the raised floor of the redraw test above
+    # a batch of 30 paths at grid 16 (19 values each): 200 paths make 7
+    # batches in each sampler; the raised floor of the redraw test above
     # flags a few paths in each
-    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 19)
     if floor is not None:
         monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
@@ -238,12 +292,27 @@ def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
     assert estimate_constants(m=16, reps=200, base_seed=3, workers=2) == report
 
 
+def test_an_open_pool_takes_even_one_batch(counting_pool):
+    # a run hands its pool to every stage; a lone batch goes there too, so
+    # the run's own process draws no path
+    pool = streams.ProcessPoolExecutor(max_workers=2)  # counting_pool's serial stand-in
+    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
+    pooled = limit_sample_batch(p, 16, 10, base_seed=3, workers=pool)
+    report = estimate_constants(m=16, reps=10, base_seed=3, workers=pool)
+    assert counting_pool == ([2], [1, 1])
+    solo = limit_sample_batch(p, 16, 10, base_seed=3, workers=1)
+    assert pooled["fpe_limit_draw"].tobytes() == solo["fpe_limit_draw"].tobytes()
+    assert report == estimate_constants(m=16, reps=10, base_seed=3, workers=1)
+    assert counting_pool == ([2], [1, 1])
+
+
 def test_threads_of_one_process_do_not_share_tiles(monkeypatch):
-    # 4 threads, switching often, run 8 batches of 64 paths at grid 256 in
-    # tiles of 5 rows; the draws release the interpreter lock, so threads
-    # sharing tile buffers would overwrite each other's paths
-    monkeypatch.setattr(brownian, "_BATCH_VALUES", 64 * 512)
-    monkeypatch.setattr(streams, "_TILE_VALUES", 5 * 512)
+    # 4 threads, switching often, run 8 batches of 64 paths at grid 256 (68
+    # values each) in tiles of 5 rows (a Brownian tile takes half the tile
+    # budget); the draws release the interpreter lock, so threads sharing
+    # tile buffers would overwrite each other's paths
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 64 * 68)
+    monkeypatch.setattr(streams, "_TILE_VALUES", 5 * 2 * 68)
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     solo = limit_sample_batch(p, 256, 512, base_seed=3, workers=1)
     interval = sys.getswitchinterval()
@@ -260,16 +329,16 @@ def test_threads_of_one_process_do_not_share_tiles(monkeypatch):
 @pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "redraws"])
 @pytest.mark.parametrize("tile_rows", [1, 7])
 def test_tile_size_does_not_change_bits(monkeypatch, floor, tile_rows):
-    # batches of 30 paths at grid 32 (16 with two columns) are one tile by
+    # batches of 30 paths at grid 16 (19 values each) are one tile by
     # default; tiles of one row, or of 7 rows, which do not divide 30, must
     # give the same bytes, redrawn paths included
-    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 19)
     if floor is not None:
         monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     whole = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
     report = estimate_constants(m=16, reps=200, base_seed=3, workers=1)
-    monkeypatch.setattr(streams, "_TILE_VALUES", tile_rows * 32)
+    monkeypatch.setattr(streams, "_TILE_VALUES", tile_rows * 2 * 19)
     tiled = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
     for key in ("fpe_limit_draw", "mse_limit_draw"):
         assert tiled[key].tobytes() == whole[key].tobytes(), key
@@ -324,6 +393,40 @@ def test_refinement_gap_shrinks_with_grid():
     )
 
 
+def exact_k2(m: int) -> float:
+    """K2 at grid m from the walk's full spectrum: with Q = sum_j a_j w_j^2,
+    E[1/Q] = int_0^inf prod_j (1 + 2 t a_j)^(-1/2) dt, taken over log t."""
+    from scipy import integrate
+
+    a = brownian._spectrum(m, m - 1)[0]
+    integrand = lambda u: math.exp(u - 0.5 * np.log1p(2.0 * math.exp(u) * a).sum())
+    return integrate.quad(integrand, -40.0, 40.0, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+
+def test_exact_grid_k2():
+    assert exact_k2(8) == pytest.approx(7.037551, abs=1e-6)
+    assert exact_k2(64) == pytest.approx(5.658654, abs=1e-6)
+    assert exact_k2(4096) == pytest.approx(5.564220565, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [64, 4096])
+def test_constants_k2_within_3_se_of_the_exact_grid_value(m):
+    # at m = 64 every eigenpair is drawn; at 4096 the first 64, tails closed
+    report = estimate_constants(m=m, reps=200_000, base_seed=0, workers=1)
+    assert abs(report.k2.value - exact_k2(m)) < 3.0 * report.k2.se
+
+
+def test_import_loads_no_scipy_and_builds_no_spectrum():
+    code = (
+        "import sys, urlab\n"
+        "print(sorted(n for n in sys.modules if n.partition('.')[0] == 'scipy'),"
+        " urlab.brownian._spectrum.cache_info().currsize)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "0"]
+
+
 def test_constants_report_shape():
     report = estimate_constants(m=128, reps=3000, base_seed=2)
     d = report.as_dict()
@@ -332,6 +435,7 @@ def test_constants_report_shape():
     assert d["m"] == 128
     assert d["k1_refined"]["m"] == 256
     assert d["k1_gap"] >= 0.0
+    assert d["resampled"] == 0
     assert report.k1.se > 0.0
 
 

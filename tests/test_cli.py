@@ -424,6 +424,24 @@ def test_integer_fields_of_every_spec_refuse_floats():
     assert type(Targets(limit_reps=np.int64(2000)).limit_reps) is int
 
 
+@pytest.mark.parametrize("build,problem", [
+    (lambda: ExperimentConfig(FilterSpec(coeffs=(1.0,)), InnovationSpec(), varsigma="0.5"),
+     "varsigma must be a number, got '0.5'"),
+    (lambda: InnovationSpec(pi="0.5"), "pi must be a number, got '0.5'"),
+    (lambda: FilterSpec(family="geometric", a="1", r=0.5), "a must be a number or None, got '1'"),
+    (lambda: FilterSpec(coeffs=(1.0, "0.5")),
+     "coeffs must be a tuple of numbers or None, got (1.0, '0.5')"),
+    (lambda: Targets(ks_max="0.05"), "ks_max must be a number, got '0.05'"),
+    (lambda: brownian.LimitParams(rho="1", sigma_omega=1.0, sigma_theta=0.0, theta=1.0),
+     "rho must be a number, got '1'"),
+], ids=["ExperimentConfig", "InnovationSpec", "FilterSpec", "FilterSpec-coeffs", "Targets",
+        "LimitParams"])
+def test_float_fields_of_every_spec_refuse_non_numbers(build, problem):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert exc.value.problems == [problem]
+
+
 def test_broken_pool_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise BrokenProcessPool("a worker process terminated abruptly")
@@ -443,10 +461,10 @@ SPLIT_RUN = FAST_RUN.replace("n_grid = 200", "n_grid = 50, 100, 200").replace(
 
 
 def _split_every_stage(monkeypatch):
-    # 300-rep finite blocks, and Brownian batches of 100 paths at grid 32
-    # (constants) or 16 with two columns (limit-check)
+    # 300-rep finite blocks, and Brownian batches of 100 paths at grid 16
+    # (19 values each, in constants and limit-check)
     monkeypatch.setattr(monte_carlo, "_CHUNK", 300)
-    monkeypatch.setattr(brownian, "_BATCH_VALUES", 100 * 32)
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 100 * 19)
 
 
 def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
@@ -474,9 +492,9 @@ SPLIT_RUN_ARTIFACTS = {
     "ape_curve.json": "51751b62cced7503c0d2aa5c0622581b2f13d8a94c1d3205e9b044a4fb93d92c",
     "mse_summary.csv": "e28b7a6f4bf8026eb546240677e99220d3707a5ed3a33b3be07b3faa217a2efe",
     "mse_summary.json": "059de41afed68605fed4dafe7fa3b9b8dd89037e0840974c931d3f623ae456e1",
-    "constants.json": "fbba59824597f6e9d0bf026c19953dbc112697ac3c6f1c2a15aece15e6d25301",
+    "constants.json": "4c592caaf4341b5443580a9c8079e35aa8752c90b16f2d85c0a6be3457608eb8",
     "cross_moment.json": "ea39352ce96c49eb3c6fe3cbf4f54e9dbf7693fcb0c5385cfacaa6d64e9395e0",
-    "limit_check.json": "3b89f653d7941a66ff9dfa22eb407644d87cf0cb364dc057ad2fa6116d3e5aad",
+    "limit_check.json": "db99af989423cacd315aa097e5d75d8266719152f5d8c8e93a4d131b3a61f8e9",
 }
 
 

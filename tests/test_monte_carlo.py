@@ -197,8 +197,9 @@ BROWNIAN_FIRST_CALLS = {
 
 @pytest.mark.parametrize("sampler", sorted(BROWNIAN_FIRST_CALLS))
 def test_brownian_first_call_allocates_about_a_tile_not_a_batch(sampler):
-    # criterion 4's grid: a whole batch is 16 MiB of draws, and tiles of 16
-    # paths peak at about 2.5 (constants, at grid 2m) and 1.5 MiB
+    # criterion 4's grid: a path draws 68 values whatever m, so 600 paths
+    # are one tile of their 64 walk coordinates, and the call peaks at
+    # about 0.4 MiB; a whole batch of 30840 paths is 16 MiB of draws
     assert _first_call_peak(BROWNIAN_FIRST_CALLS[sampler]) < 8 * 2**20
 
 

@@ -92,7 +92,8 @@ def test_cross_moment_shape_without_ape():
 
 def test_stationary_rows_past_the_ar_loop():
     # burn-in 20 + n 2100 puts each row past linear_process._AR_LOOP_MAX_WIDTH,
-    # so ar1_rows returns scipy's fresh array; 120 reps in tiles of 30 rows
+    # so ar1_rows writes scipy's lfilter values into its input; 120 reps in
+    # tiles of 30 rows
     cfg = ExperimentConfig(
         filter_spec=FilterSpec(family="finite", coeffs=(1.0, 0.5)),
         innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=2.0, pi=0.7),
@@ -107,17 +108,26 @@ def test_stationary_rows_past_the_ar_loop():
 @pytest.mark.parametrize(
     "m,reps,digest",
     [
-        (64, 600, "715cee64bce133519f23e9787051975bceaf651c79face91a777960736b39f14"),
-        # 1024 rows per batch at 2m = 2048: three batches, the last one short
-        (1024, 2500, "a7d6497dc878d13cf38d2338064007d70e1820ec1d2527990b42d1eea8118206"),
+        # every eigenpair drawn, so no grid-m tail
+        (64, 600, "e59af38487858ec5c3ed73b9ecb93f878a4e4e4b441c666db02a3ff35356b771"),
+        # 64 of 1023 eigenpairs, tails in closed form
+        (1024, 2500, "42f47ad69b6855fdd7daed1287e26e0deee6a14ae666b16aa823569a79ffa271"),
     ],
+    ids=["64-600", "1024-2500"],
 )
 def test_estimate_constants(m, reps, digest):
     report = estimate_constants(m=m, reps=reps, base_seed=4)
     assert hashlib.sha256(json.dumps(report.as_dict()).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("m,digest", [(64, "5b1f46c561911e0627b3a5788900889e5f85a4aa327b1dc8807682bd56302a70"), (1024, "519e14601d850dbda3a9b3cce75b354f08d454dd066b05365c8511c62a046ca0")])
+@pytest.mark.parametrize(
+    "m,digest",
+    [
+        (64, "6f9a3bbc5099d95e4ece9bbc8979042890c238b9d4e834c9c91fec85cf0c5833"),
+        (1024, "a81afe2a237845646386ff07828fc05d734055280879463800dddd0db7085217"),
+    ],
+    ids=["64", "1024"],
+)
 def test_limit_sample_batch(m, digest):
     params = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
     draws = limit_sample_batch(params, m, 2500, base_seed=8)

@@ -84,7 +84,8 @@ def test_negative_key_fails_as_substream_does():
 
 
 def _run_each_engine(workers=None) -> None:
-    # 3 finite blocks of 40 reps; 7 Brownian batches of 30 paths in each sampler
+    # 3 finite blocks of 40 reps; 7 Brownian batches of 30 paths (19 values
+    # each at grid 16) in each sampler
     cfg = ExperimentConfig(
         filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
         innovations=InnovationSpec(pi=1.0),
@@ -104,7 +105,7 @@ def _run_each_engine(workers=None) -> None:
 def test_workers_default_to_the_usable_cores(monkeypatch, counting_pool, cores, opened):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
-    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 32)
+    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 19)
     _run_each_engine()
     assert counting_pool[0] == opened
     _run_each_engine(workers=1)
