@@ -45,13 +45,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import hashlib
+import importlib.util
+import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
-from . import brownian, monte_carlo, reporting
+import numpy as np
+
+from . import __version__, brownian, monte_carlo, reporting
 from .errors import ConfigError, DegenerateRateError, ResamplePathError, Validated
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
@@ -99,14 +104,47 @@ class Targets(Validated):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What ran and what it wrote; checksums make reruns comparable."""
+    """What ran and what it wrote; checksums make reruns comparable.
+
+    ``versions`` names what the bits depend on besides the config: urlab,
+    Python, numpy, scipy and numpy's BLAS, whose kernels sum the finite-n
+    filter's products.  ``config_sha256`` hashes the parsed config and
+    targets as run, a --seed override included.
+    """
 
     config_path: str
+    config_sha256: str
     subcommand: str
     out_dir: str
     base_seed: int
     workers: int
+    versions: dict[str, str | None]
     artifacts: dict[str, str]
+
+
+def _installed_version(package: str) -> str | None:
+    """``package``'s version from the Version field of the METADATA file in
+    its dist-info directory, which sits beside the package; None when there
+    is none.  Neither the package nor ``importlib.metadata`` is imported:
+    the latter's email parser alone took 1 MiB and 25 ms of a run."""
+    site = Path(importlib.util.find_spec(package).origin).parents[1]
+    for metadata in sorted(site.glob(f"{package}-*.dist-info/METADATA")):
+        with metadata.open(encoding="utf-8") as lines:
+            for line in lines:
+                if line.startswith("Version:"):
+                    return line.split(":", 1)[1].strip()
+    return None
+
+
+def _versions() -> dict[str, str | None]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "urlab": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": _installed_version("scipy"),
+        "blas": f"{blas['name']} {blas['version']}",
+    }
 
 
 def _list_of(kind):
@@ -440,6 +478,7 @@ def dispatch(
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {subcommand!r}"])
     stream = stream if stream is not None else sys.stdout
+    targets = targets or Targets()
     names = list(_HANDLERS) if subcommand == "all" else [subcommand]
     checks = [name for name in names if name in monte_carlo.NEEDS]  # the finite-n ones
     skipped = {}
@@ -470,7 +509,7 @@ def dispatch(
                 print(f"== {name} ==", file=stream)
                 print(f"{name}: skipped ({skipped[name]})", file=stream)
                 continue
-            rows, passed, files = _HANDLERS[name](config, targets or Targets(), columns, pool)
+            rows, passed, files = _HANDLERS[name](config, targets, columns, pool)
             for file_name, payload in files.items():
                 csv = file_name.endswith(".csv")
                 write = reporting.write_summary_csv if csv else reporting.write_json
@@ -479,12 +518,15 @@ def dispatch(
             _print_rows(rows, stream)
             print(f"{name}: {'pass' if passed else 'FAIL'}", file=stream)
             failures += 0 if passed else 1
+    as_run = json.dumps([asdict(config), asdict(targets)], sort_keys=True)
     manifest = RunManifest(
         config_path=str(config_path),
+        config_sha256=hashlib.sha256(as_run.encode()).hexdigest(),
         subcommand=subcommand,
         out_dir=str(out_dir),
         base_seed=config.base_seed,
         workers=usable_cores() if workers is None else workers,
+        versions=_versions(),
         artifacts=artifacts,
     )
     reporting.write_json(Path(out_dir) / "manifest.json", asdict(manifest))

@@ -12,9 +12,10 @@ rather than estimated.
 scipy is imported only where it is needed: ``scipy.special`` for the
 polynomial family's zeta sums, ``scipy.signal`` by the scalar oracles
 ``generate_path`` and ``decompose`` and for stationary paths longer than
-``_AR_LOOP_MAX_WIDTH``.  The batch engine filters with the numpy row
-helpers ``fir_rows`` and ``ar1_rows``, which reproduce
-``scipy.signal.lfilter`` bit for bit.
+``_AR_LOOP_MAX_WIDTH``.  The batch engine's MA filter is a block-Toeplitz
+product in ``monte_carlo``, which matches ``scipy.signal.lfilter`` to
+rounding, and its AR recursion is ``ar1_rows``, whose values are
+``lfilter``'s.
 """
 
 from __future__ import annotations
@@ -190,27 +191,6 @@ def materialize_filter(spec: FilterSpec) -> Filter:
 def _check_theta(theta: float) -> None:
     if abs(theta) < _THETA_FLOOR:
         raise ConfigError([f"filter sums to zero: |theta| = {abs(theta):.3g} < {_THETA_FLOOR}"])
-
-
-def fir_rows(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` (rows, width) through the FIR filter ``coeffs``:
-    ``signal.lfilter(coeffs, [1.0], x, axis=1)`` bit for bit.
-
-    The result is the top-left (rows, width) view of ``out``, a buffer of
-    at least that size that may be ``x``'s own: each row is convolved
-    whole before it is written.  One tap is an exact scaling, done for all
-    rows at once; ``+= 0.0`` turns -0.0 into +0.0 as ``np.convolve``'s
-    zero-started sums do.
-    """
-    rows, width = x.shape
-    out = out[:rows, :width]
-    if len(coeffs) == 1:
-        np.multiply(x, coeffs[0], out=out)
-        out += 0.0
-    else:
-        for dest, row in zip(out, x):
-            dest[:] = np.convolve(coeffs, row)[:width]
-    return out
 
 
 # The time loop costs one pair of numpy calls per column however few rows

@@ -13,21 +13,14 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import brownian
 from .errors import ConfigError, DegenerateRateError, Validated
 from .innovations import InnovationSpec, _scaled_pairs, _standardized
-from .linear_process import (
-    Filter,
-    FilterSpec,
-    ar1_rows,
-    fir_rows,
-    materialize_filter,
-    stationary_burn_in,
-)
+from .linear_process import Filter, FilterSpec, ar1_rows, materialize_filter, stationary_burn_in
 # substream, the per-key reference, stays importable here for bench/layertrace.py
 from .streams import ROLE_PATH, map_units, substream, substreams  # noqa: F401
 from .streams import tile_buffers, tile_rows
@@ -43,6 +36,13 @@ STATISTICS = (
 # so these bound no buffer.
 _CHUNK = 4096          # most replications per work unit
 _ROW_VALUES = 1 << 22  # draws per work unit
+
+# The MA filter runs as block-Toeplitz products (see _filtered_rows): steps
+# per block, and blocks per BLAS product.  Every product has this one shape,
+# whatever the tile, so a row's bits never depend on the rows beside it.
+_BLOCK = 32
+_GEMM_BLOCKS = 16
+_TOEPLITZ_INDEX = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None] + _BLOCK - 1
 
 MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
@@ -190,12 +190,83 @@ def _draws(streams: Iterator[np.random.Generator], family: str, z: np.ndarray) -
     return z
 
 
+def _padded_values(rows: int, width: int) -> int:
+    """Floats that ``_filtered_rows`` reads or writes for ``rows`` rows of
+    ``width`` steps: each row's blocks, and those padding the last product."""
+    blocks = rows * -(-width // _BLOCK)
+    return -(-blocks // _GEMM_BLOCKS) * _GEMM_BLOCKS * _BLOCK
+
+
+@lru_cache(maxsize=8)
+def _toeplitz_block(filt: Filter, taps: int, m: int, integrate: bool) -> np.ndarray:
+    """T_m[i, o] = c_{o + m B - i}, 0 outside the first ``taps`` taps of
+    ``filt``: what input block k - m adds to output block k.  With
+    ``integrate``, T_m U, U the upper-triangular matrix of ones, so the
+    product also sums within the block.  Read-only; the last few built are
+    kept, since every tile of a pass uses the same ones."""
+    # T_m[i, o] reads a zero-padded run of taps, c_{m B - B + 1} .. c_{m B + B - 1}
+    run = np.zeros(2 * _BLOCK - 1)
+    lo = m * _BLOCK - _BLOCK + 1
+    part = filt.coeffs[max(lo, 0) : min(lo + len(run), taps)]
+    run[max(-lo, 0) : max(-lo, 0) + len(part)] = part
+    t = run[_TOEPLITZ_INDEX]
+    if integrate:
+        np.cumsum(t, axis=1, out=t)
+    t.setflags(write=False)
+    return t
+
+
+def _filtered_rows(
+    filt: Filter, omega: np.ndarray, integrate: bool, blocks: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """eta_t = sum_j c_j omega_{t-j} along each row of ``omega`` (rows,
+    width), c being the taps of ``filt``, over the lags that exist; with
+    ``integrate``, its running sum.
+
+    Each row is cut into blocks of B = _BLOCK steps, its last one
+    zero-padded, and output block k is sum_m A_{k-m} T_m, A_j being input
+    block j (see ``_toeplitz_block``).  Only taps below ``width`` can reach
+    an output, so no more are read, and each T_m is built when it is used.
+    The rows' blocks are stacked and zero-padded to whole products of
+    _GEMM_BLOCKS blocks, and every BLAS product has that one shape: numpy
+    sends a one-row product to gemv, which sums in another order.  So a
+    row's bits do not depend on the rows stacked with it, and a path's
+    outputs are a prefix of those of any longer path.  Integrating, the
+    products sum within each block, and one short ``cumsum`` of the
+    block ends carries each row across its blocks.
+
+    ``blocks`` (flat) holds the stacked input, then each further product;
+    ``out`` (flat) takes the result, returned as a (rows, width) view.
+    Each needs ``_padded_values(rows, width)`` floats, ``blocks`` twice that
+    when the taps span more than one block.  ``omega`` may lie in ``out``.
+    """
+    rows, width = omega.shape
+    per_row = -(-width // _BLOCK)
+    size = _padded_values(rows, width)
+    stack = (size // (_GEMM_BLOCKS * _BLOCK), _GEMM_BLOCKS, _BLOCK)
+    padded = blocks[: rows * per_row * _BLOCK].reshape(rows, per_row * _BLOCK)
+    padded[:, :width] = omega
+    padded[:, width:] = 0.0
+    blocks[padded.size : size] = 0.0
+    a = blocks[:size].reshape(stack)
+    taps = min(len(filt.coeffs), width)
+    terms = min(per_row, (taps + _BLOCK - 2) // _BLOCK + 1)
+    np.matmul(a, _toeplitz_block(filt, taps, 0, integrate), out=out[:size].reshape(stack))
+    x = out[: padded.size].reshape(rows, per_row, _BLOCK)
+    product = blocks[size : 2 * size]
+    for m in range(1, terms):
+        np.matmul(a, _toeplitz_block(filt, taps, m, integrate), out=product.reshape(stack))
+        x[:, m:] += product[: x.size].reshape(x.shape)[:, : per_row - m]
+    if integrate:
+        x[:, 1:] += np.cumsum(x[:, :-1, -1], axis=1)[:, :, None]
+    return x.reshape(rows, -1)[:, :width]
+
+
 def _path_columns(
     z: np.ndarray,
-    work: tuple[np.ndarray, ...],
+    work: tuple[np.ndarray, np.ndarray],
     innovations: InnovationSpec,
-    filt_coeffs: np.ndarray,
-    beta: float,
+    filt: Filter,
     varsigma: float,
     burn: int,
     grid: tuple[int, ...],
@@ -203,69 +274,68 @@ def _path_columns(
 ) -> dict[int, tuple[dict, np.ndarray]]:
     """{n: (base per-path quantities, degenerate row mask)} at every n of
     ``grid`` from standardized draws ``z`` (rows, burn + grid[-1] + 1, 2)
-    of the ``innovations`` law; the quantities are x_n and beta_hat, plus
-    ape and the scored-eps sse when ``want_ape``.
+    of the ``innovations`` law; the quantities are x_n and the estimation
+    error d = beta_hat - beta, plus ape and the scored-eps sse when
+    ``want_ape``.
 
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
-    alone (see ``_block_worker`` for the one exception).  Every operation
-    acts along axis 1, so row results do not depend on batching or
-    tiling.
+    alone.  Every operation acts along axis 1, so row results do not
+    depend on batching or tiling.  The response is beta x + eps, so d is
+    sum x eps / sum x^2 and a prediction error is eps - d x: no response
+    is formed, and no beta_hat - beta cancels.
 
-    ``work`` holds the contiguous draw buffer that ``z`` is the top-left
-    view of, then two float planes and a bool plane, each at least z's
-    rows and steps in size.  Every path-length array is a view of it, four
-    float planes in all, so no step allocates one:
+    ``work`` holds the flat draw buffer that ``z`` is the contiguous head
+    of, then two flat float planes, each of at least
+    ``_padded_values(rows, steps)`` floats and z's rows times steps.  Every
+    path-length array is a view of it, four float planes in all, so no
+    step allocates one:
 
-    - the om plane takes omega, then eta and the regressors x in place;
-    - the eps plane takes epsilon, then the responses y in place;
-    - the draws, spent once omega and epsilon are out, are carved into two
-      flat (rows, steps) planes.  Plane B takes u*u and gives each n's
-      s_xx prefix sums, then is cumsummed in place into the running energy.
-      Plane C takes eps^2 for the masked sse sums before y is formed, then
-      the u*beta temporary, then u*y for beta_hat, then the running
-      prediction error for ape;
-    - the bool plane takes ``off``, the pairs with no estimate yet.
+    - the om plane takes omega, then the regressors x, then with APE the
+      squared prediction errors;
+    - the eps plane takes epsilon, then with APE its squares;
+    - the draws, spent once omega and epsilon are out, take the padded
+      omega blocks and the filter's products, then the (x^2, x eps) pairs
+      as complex numbers, whose sums give each n's sum x^2 and sum x eps.
+      With APE one complex ``cumsum`` turns them into the running sums,
+      whose ratio is the running d.
     """
     rows, total = z.shape[:2]
-    draws, om, eps, flags = work
-    om, eps, flags = (buf[:rows, :total] for buf in (om, eps, flags))
+    draws, planes = work
+    om, eps = (plane[: rows * total].reshape(rows, total) for plane in planes)
     _scaled_pairs(innovations, z, out=(om, eps))
-    xs = fir_rows(filt_coeffs, om[:, :-1], out=om)  # eta, over omega
-    if varsigma == 1.0:
-        np.cumsum(xs, axis=1, out=xs)
-    else:
+    xs = _filtered_rows(filt, om[:, :-1], varsigma == 1.0, draws, out=planes[0])
+    if varsigma != 1.0:
         ar1_rows(xs, varsigma)
     n_max = grid[-1]
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
     bad = {n: _degenerate_mask(u[:, : n - 1]) for n in grid}
-    plane_b, plane_c = draws.reshape(-1)[: 2 * rows * total].reshape(2, rows, total)
-    uu = np.multiply(u, u, out=plane_b[:, : n_max - 1])
-    s_xx = {n: uu[:, : n - 1].sum(axis=1) for n in grid}
+    pairs = draws[: 2 * rows * (n_max - 1)].view(complex).reshape(rows, n_max - 1)
+    np.multiply(u, u, out=pairs.real)
+    np.multiply(u, eps[:, burn + 1 : burn + n_max], out=pairs.imag)  # eps_2 .. eps_n
+    for n in grid:
+        sums = pairs[:, : n - 1].sum(axis=1)
+        cols[n]["d"] = sums.imag / np.where(sums.real > 0.0, sums.real, 1.0)
     if want_ape:
-        c_xx = np.cumsum(uu, axis=1, out=uu)[:, :-1]  # energy after pairs 1..n-2
-        off = flags[:, : n_max - 2]  # no estimate yet to predict the next pair
-        np.logical_not(np.greater(c_xx, 0.0, out=off), out=off)
-        np.copyto(c_xx, 1.0, where=off)
-        # eps_3 .. eps_n, before the responses overwrite them
-        e2 = np.square(eps[:, burn + 2 : burn + n_max], out=plane_c[:, : n_max - 2])
-        np.copyto(e2, 0.0, where=off)
+        run = np.cumsum(pairs, axis=1, out=pairs)[:, :-1]  # after pairs 1 .. n-2
+        # sum x^2 never decreases, so the pairs with no estimate yet to
+        # predict the next one are a prefix, empty unless x_1^2 is 0
+        late = [(r, np.searchsorted(run[r].real, 0.0, side="right"))
+                for r in np.flatnonzero(run[:, 0].real == 0.0)]
+        for r, stop in late:
+            run[r, :stop] = 1.0
+        d = np.divide(run.imag, run.real, out=run.imag)  # running d
+        # the prediction errors overwrite x_2 .. x_{n-1}, and eps_3 .. eps_n
+        # their squares
+        err, e2 = u[:, 1:], eps[:, burn + 2 : burn + n_max]
+        np.multiply(d, err, out=err)
+        np.subtract(e2, err, out=err)
+        np.square(err, out=err)
+        np.square(e2, out=e2)
+        for r, stop in late:
+            err[r, :stop] = e2[r, :stop] = 0.0
         for n in grid:
             cols[n]["sse"] = e2[:, : n - 2].sum(axis=1)
-    v = eps[:, burn + 1 : burn + n_max]  # pair responses y_2 .. y_n, in place
-    v += np.multiply(u, beta, out=plane_c[:, : n_max - 1])
-    uv = np.multiply(u, v, out=plane_c[:, : n_max - 1])
-    for n in grid:
-        safe_xx = np.where(s_xx[n] > 0.0, s_xx[n], 1.0)
-        cols[n]["beta_hat"] = uv[:, : n - 1].sum(axis=1) / safe_xx
-    if want_ape:
-        err = np.cumsum(uv, axis=1, out=uv)[:, :-1]
-        np.divide(err, c_xx, out=err)  # running beta_hat
-        np.multiply(u[:, 1:], err, out=err)
-        np.subtract(v[:, 1:], err, out=err)
-        np.multiply(err, err, out=err)
-        np.copyto(err, 0.0, where=off)
-        for n in grid:
             cols[n]["ape"] = err[:, : n - 2].sum(axis=1)
     return {n: (cols[n], bad[n]) for n in grid}
 
@@ -274,8 +344,8 @@ def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]
     """The per-path statistics ``sample_statistics`` returns, derived
     elementwise from the base quantities of ``_path_columns``."""
     x_n = base["x_n"]
-    d = base["beta_hat"] - beta
-    cols = {"beta_hat_final": base["beta_hat"]}
+    d = base["d"]
+    cols = {"beta_hat_final": beta + d}
     cols["norm_est_sq"] = (n * d) ** 2
     cols["x_n_sq_over_n"] = x_n**2 / n
     cols["fpe_stat"] = cols["x_n_sq_over_n"] * cols["norm_est_sq"]
@@ -301,22 +371,17 @@ def _block_worker(
     """({n: base columns}, {n: resample events}) of the replications in
     ``block``, drawn and scored ``tile`` rows at a time."""
     burn = stationary_burn_in(config.varsigma)
-    # draws fill in sequence and the FIR, cumsum and AR recursions are causal,
-    # so a path at n is a prefix of the path at n_max; but the FIR's per-row
-    # np.convolve swaps its operands, and so sums in another order, once the
-    # row is no longer than the taps, so such a short n gets a pass of its own
-    passes = [(n,) for n in grid[:-1] if burn + n <= len(filt.coeffs)]
-    passes.append(grid[len(passes):])
+    # draws fill in sequence and the filter, cumsum and AR recursions are
+    # causal, so a path at n is a prefix of the path at n_max
     width = burn + grid[-1] + 1
-    z, floats, mask = tile_buffers(((tile, width, 2), float), ((2, tile, width), float),
-                                   ((tile, width), bool))
+    values = _padded_values(tile, width)  # at least tile * width
+    draws, planes = tile_buffers(((2 * values,), float), ((2, values), float))
 
     out: dict[int, dict[str, np.ndarray]] = {}
     failures = dict.fromkeys(grid, 0)
     # (reps, points) to score at this attempt; a row degenerate at n is
     # rescored at n alone from its next attempt
-    block_reps = np.arange(block.start, block.stop)
-    todo, attempt = [(block_reps, points) for points in passes], 0
+    todo, attempt = [(np.arange(block.start, block.stop), grid)], 0
     while todo:
         retry = []
         for reps, points in todo:
@@ -326,10 +391,10 @@ def _block_worker(
             redraw = {n: [] for n in points}
             for lo in range(0, len(reps), tile):
                 rows = reps[lo : lo + tile]
+                z = draws[: 2 * len(rows) * total].reshape(len(rows), total, 2)
                 scored = _path_columns(
-                    _draws(streams, config.innovations.family, z[: len(rows), :total]),
-                    (z, *floats, mask), config.innovations, filt.coeffs, config.beta,
-                    config.varsigma, burn, points, want_ape,
+                    _draws(streams, config.innovations.family, z), (draws, planes),
+                    config.innovations, filt, config.varsigma, burn, points, want_ape,
                 )
                 for n, (cols, bad) in scored.items():
                     if n not in out:
@@ -363,14 +428,15 @@ def sample_statistics(
     runs them over ``workers``, an open pool or a process count (None: the
     usable cores), and they are reassembled in index order.  Each block is
     worked in the tiles of ``streams.tile_rows``, sized once here from the
-    widest path, in ``streams.tile_buffers``: the draw tile, two float
-    planes and a bool plane, whose reuse ``_path_columns`` schedules.  So
-    each tile row takes four float planes of its path's length, and a
-    process touches about 2.3 MiB of fresh memory at n = 32000, not a
-    block's 100 MiB.  The columns at n,
-    ``resampled`` included, are bit-identical to those of a call with grid
-    (n,), whatever the worker count or tile size: streams are keyed by
-    replication index.
+    widest path, in ``streams.tile_buffers``: the draw tile and two float
+    planes, whose reuse ``_path_columns`` schedules.  So each tile row
+    takes four float planes of its path's length, and a process touches
+    about 2.3 MiB of fresh memory at n = 32000, not a block's 100 MiB.
+    The columns at n, ``resampled`` included, are bit-identical to those
+    of a call with grid (n,), whatever the worker count or tile size:
+    streams are keyed by replication index, and the filter's BLAS
+    products have one shape (see ``_filtered_rows``).  With or without
+    ``want_ape``, every column returned has the same bits.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:
@@ -379,7 +445,8 @@ def sample_statistics(
     max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
     width = stationary_burn_in(config.varsigma) + grid[-1] + 1
     rows = min(_CHUNK, max(4, _ROW_VALUES // (2 * width)))
-    tile = tile_rows(rows, 2 * width)
+    # a tile row holds its path rounded up to whole blocks of the filter
+    tile = tile_rows(rows, 2 * _BLOCK * -(-width // _BLOCK))
     work = partial(_block_worker, config, filt, grid, want_ape, max_failures, tile)
     blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
     results = map_units(work, blocks, workers)

@@ -486,14 +486,14 @@ def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
 # keeps these; one that alters bits on purpose updates them and says so
 # in CHANGES.md, as test_pinned_bits.py asks.
 SPLIT_RUN_ARTIFACTS = {
-    "fpe_summary.csv": "a78705624b513769764f4244f244c1a12284c7da26b7c4e80bfd837e3be159d0",
-    "fpe_summary.json": "1876bfcf88e1cd16979acf72c33c2c22547f6f0af889817905dd419b27a1641a",
-    "ape_curve.csv": "8eb6a7411db5e7faa8e9c34a5cf9b2cc823b6b985d0ae416bd2006d57b70c3e8",
-    "ape_curve.json": "51751b62cced7503c0d2aa5c0622581b2f13d8a94c1d3205e9b044a4fb93d92c",
-    "mse_summary.csv": "e28b7a6f4bf8026eb546240677e99220d3707a5ed3a33b3be07b3faa217a2efe",
-    "mse_summary.json": "059de41afed68605fed4dafe7fa3b9b8dd89037e0840974c931d3f623ae456e1",
+    "fpe_summary.csv": "40b4f3a7401a3ca76497064e67f7a5eb9ec8b08c6b17f76260abc6b13e55b895",
+    "fpe_summary.json": "ade2af18e67a9208aa579d1add9f3feb16a58e1a1c8871b8a6563500339b8747",
+    "ape_curve.csv": "9a52c06096ceb76485462da016560356785906406d27a437823502d0b45e85a6",
+    "ape_curve.json": "b19dbd7f834054ee479a52d66e9503406966ad607cb8680a8bfb17ec543332df",
+    "mse_summary.csv": "ab1532615e2f232867800ef41495fbd2c1213d54c111454341abcfb3fb66ecf8",
+    "mse_summary.json": "a9576334dfc892234ba6e581b2723d5d6f0c4c84c3405a31fc55783bc1c32bb9",
     "constants.json": "4c592caaf4341b5443580a9c8079e35aa8752c90b16f2d85c0a6be3457608eb8",
-    "cross_moment.json": "ea39352ce96c49eb3c6fe3cbf4f54e9dbf7693fcb0c5385cfacaa6d64e9395e0",
+    "cross_moment.json": "b364e9f10a930f11297a235ac7ec2b0bae1b6f6de089c3acf5118fc493e3d5b4",
     "limit_check.json": "db99af989423cacd315aa097e5d75d8266719152f5d8c8e93a4d131b3a61f8e9",
 }
 
@@ -777,6 +777,21 @@ def test_ape_curve_needs_three_grid_points(tmp_path, capsys):
     short.write_text(FAST_RUN.replace("n_grid = 200", "n_grid = 200, 400"))
     assert main(["ape-curve", str(short), "--out", str(tmp_path / "o")]) == 2
     assert "ape-curve needs n_grid" in capsys.readouterr().err
+
+
+def test_a_rerun_writes_the_same_manifest_bytes(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_RUN)
+    out = tmp_path / "o"
+    manifests = []
+    for seed in ("0", "0", "5"):
+        assert main(["fpe", str(ini), "--workers", "1", "--seed", seed, "--out", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[1] == manifests[0]
+    first, reseeded = (json.loads(m) for m in (manifests[0], manifests[2]))
+    assert set(first["versions"]) == {"urlab", "python", "numpy", "scipy", "blas"}
+    assert first["versions"]["numpy"] == np.__version__
+    assert first["config_sha256"] != reseeded["config_sha256"]
 
 
 def test_seed_override_changes_outputs(tmp_path):

@@ -20,7 +20,8 @@ from urlab import (
     materialize_filter,
     stationary_burn_in,
 )
-from urlab.linear_process import _AR_LOOP_MAX_WIDTH, ar1_rows, fir_rows
+from urlab import monte_carlo
+from urlab.linear_process import _AR_LOOP_MAX_WIDTH, ar1_rows
 from urlab.streams import ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
@@ -242,28 +243,59 @@ def _rows_with_zeros(rows, width, seed):
     return x
 
 
+def _filtered(coeffs, omega, integrate):
+    """``monte_carlo._filtered_rows`` of ``omega`` through the taps
+    ``coeffs``, in buffers that start out NaN, as a fresh array."""
+    rows, width = omega.shape
+    filt = materialize_filter(FilterSpec(family="finite", coeffs=tuple(coeffs)))
+    size = monte_carlo._padded_values(rows, width)
+    blocks, out = np.full(2 * size, np.nan), np.full(size, np.nan)
+    return monte_carlo._filtered_rows(filt, omega, integrate, blocks, out).copy()
+
+
 @pytest.mark.parametrize("taps", [1, 2, 3, 27, 40])
-@pytest.mark.parametrize("width", [1, 2, 26, 27, 28, 39, 41, 300])
+@pytest.mark.parametrize("width", [1, 2, 26, 27, 28, 31, 32, 33, 39, 41, 300, 333])
 def test_fir_rows_match_lfilter_bit_for_bit(taps, width):
+    """The engine's block-Toeplitz FIR filter, and its running sum, against
+    ``lfilter``.  The per-row ``fir_rows`` it replaced matched lfilter bit
+    for bit; the block products sum in another order, so this compares to
+    rounding: a few units in the last place of the largest sum a row could
+    reach.  40 taps span three Toeplitz blocks, and widths around 32 put a
+    row's end on either side of a block's."""
     coeffs = np.random.default_rng(taps).standard_normal(taps)
-    coeffs[-1] = -0.5 if taps > 1 else -1.5  # a negative tap signs zero products
+    coeffs[-1] = -0.5 if taps > 1 else -1.5
     # a strided view, as the engine passes omega without its last column
     x = _rows_with_zeros(5, width + 1, seed=width)[:, :-1]
-    want = signal.lfilter(coeffs, [1.0], x, axis=1)
-    got = fir_rows(coeffs, x, out=np.empty((5, width)))
-    assert got.shape == want.shape
-    # tobytes compares every bit, the sign of each zero included
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-    # a reused buffer wider than needed, as the engine's tiles pass, first
-    # holding NaN and then the last result; and one that aliases x itself
-    buf = np.full((7, width + taps + 3), np.nan)
-    for _ in range(2):
-        into = fir_rows(coeffs, x, out=buf)
-        assert np.shares_memory(into, buf)
-        assert into.tobytes() == np.ascontiguousarray(want).tobytes()
-    buf[:5, : width + 1] = x.base
-    into = fir_rows(coeffs, buf[:5, :width], out=buf)
-    assert into.tobytes() == np.ascontiguousarray(want).tobytes()
+    eta = signal.lfilter(coeffs, [1.0], x, axis=1)
+    tol = 8 * np.finfo(float).eps * np.abs(coeffs).sum() * np.abs(x).sum(axis=1, keepdims=True)
+    for integrate, want in ((False, eta), (True, np.cumsum(eta, axis=1))):
+        got = _filtered(coeffs, x, integrate)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol), integrate
+
+
+@pytest.mark.parametrize("integrate", [False, True], ids=["eta", "x"])
+@pytest.mark.parametrize("taps", [27, 40])
+def test_filtered_row_bits_do_not_depend_on_width_rows_or_offset(taps, integrate):
+    # every BLAS product multiplies 16 blocks of 32 steps, so a row's bits
+    # are its own wherever it sits in the stacked blocks
+    coeffs = np.random.default_rng(taps).standard_normal(taps)
+    rng = np.random.default_rng(taps + 1)
+    row = rng.standard_normal(333)  # 11 blocks
+    alone = _filtered(coeffs, row[None, :], integrate)[0].tobytes()
+    for width in (1, 20, 31, 32, 33, 64, 100, 332):  # prefixes, 1-block rows first
+        assert _filtered(coeffs, row[None, :width], integrate)[0].tobytes() == alone[: 8 * width]
+    # row k of a stack starts at block 11 k: offsets 0, 11, 6 (22 - 16), 1, ...
+    for rows in (2, 3, 7):
+        for at in range(rows):
+            stack = rng.standard_normal((rows, 333))
+            stack[at] = row
+            assert _filtered(coeffs, stack, integrate)[at].tobytes() == alone, (rows, at)
+    # a 1-block row at each offset of 17 rows, the last one in a second product
+    for at in range(17):
+        stack = rng.standard_normal((17, 20))
+        stack[at] = row[:20]
+        assert _filtered(coeffs, stack, integrate)[at].tobytes() == alone[: 8 * 20], at
 
 
 @pytest.mark.parametrize("varsigma", [0.5, -0.9, 0.0])

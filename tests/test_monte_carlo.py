@@ -103,8 +103,14 @@ def test_run_is_deterministic():
     assert run(cfg) == run(cfg)
 
 
+def _tile_width(cfg) -> int:
+    """Values a tile row holds per draw: its path in whole filter blocks."""
+    steps = stationary_burn_in(cfg.varsigma) + cfg.n_grid[-1] + 1
+    return -(-steps // monte_carlo._BLOCK) * monte_carlo._BLOCK
+
+
 CHUNKING_CASES = {
-    # 27 taps: n = 20 is no longer than the filter, so it has a pass of its own
+    # 27 taps: a path at n = 20 is shorter than the filter, and one step block
     "short-pass": dict(filter_spec=README_FILTER, n_grid=(20, 60),
                        innovations=InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5)),
     "laplace-stationary": dict(filter_spec=FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),
@@ -128,8 +134,7 @@ def test_arrays_independent_of_chunking(monkeypatch, case, tile_rows):
     # blocks of 17 rows, in tiles of 17, 1 or 3 rows (17 = 5 * 3 + 2)
     monkeypatch.setattr(monte_carlo, "_CHUNK", 17)
     if tile_rows is not None:
-        width = stationary_burn_in(cfg.varsigma) + cfg.n_grid[-1] + 1
-        monkeypatch.setattr(streams, "_TILE_VALUES", 2 * width * tile_rows)
+        monkeypatch.setattr(streams, "_TILE_VALUES", 2 * _tile_width(cfg) * tile_rows)
     chunked = sample_statistics(cfg, cfg.n_grid, workers=1)
     if case == "uniform-retries":
         assert base[30]["resampled"][0] > 0
@@ -145,7 +150,7 @@ def test_threads_of_one_process_do_not_share_tile_buffers(monkeypatch):
     # tile buffers would overwrite each other's paths
     monkeypatch.setattr(monte_carlo, "_CHUNK", 20)
     cfg = config(reps=160, n_grid=(30, 60), statistics=("fpe_stat", "excess_ape"))
-    monkeypatch.setattr(streams, "_TILE_VALUES", 3 * 61 * 2)  # 61 steps of 2 draws
+    monkeypatch.setattr(streams, "_TILE_VALUES", 3 * 2 * _tile_width(cfg))
     solo = sample_statistics(cfg, cfg.n_grid, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -256,7 +261,8 @@ def test_seed_changes_results():
 # ------------------------------------------- grid points share one pass
 
 GRID_CASES = [
-    # 27 taps: n = 5 and 20 are shorter than the filter
+    # 27 taps: n = 5 and 20 are shorter than the filter and its first step
+    # block, which they share with the longer paths
     (FilterSpec(family="geometric", a=1.0, r=0.5),
      InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5), 1.0),
     (FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),
@@ -326,6 +332,21 @@ def test_grid_resamples_each_point_on_its_own(monkeypatch):
 
 # ------------------------------------------------- engine vs scalar path
 
+def _assert_engine_matches_scalar(filter_spec, innov, varsigma, n, reps):
+    cfg = ExperimentConfig(
+        filter_spec=filter_spec, innovations=innov, beta=0.8, varsigma=varsigma,
+        n_grid=(n,), reps=reps, base_seed=77, statistics=("excess_ape",),
+    )
+    arrays = sample_statistics(cfg, (n,))[n]
+    filt = materialize_filter(filter_spec)
+    for rep in range(reps):
+        rng = substream(77, ROLE_PATH, rep)
+        traj = generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma)
+        ref = dataclasses.asdict(run_path(traj))
+        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape"):
+            assert arrays[key][rep] == pytest.approx(ref[key], rel=1e-10, abs=1e-12), (rep, key)
+
+
 @pytest.mark.parametrize(
     "filter_spec,innov,varsigma",
     [
@@ -339,19 +360,69 @@ def test_grid_resamples_each_point_on_its_own(monkeypatch):
     ],
 )
 def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
-    n, reps = 150, 30
-    cfg = ExperimentConfig(
-        filter_spec=filter_spec, innovations=innov, beta=0.8, varsigma=varsigma,
-        n_grid=(n,), reps=reps, base_seed=77, statistics=("excess_ape",),
-    )
-    arrays = sample_statistics(cfg, (n,))[n]
-    filt = materialize_filter(filter_spec)
-    for rep in range(reps):
-        rng = substream(77, ROLE_PATH, rep)
-        traj = generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma)
-        ref = dataclasses.asdict(run_path(traj))
-        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape"):
-            assert arrays[key][rep] == pytest.approx(ref[key], rel=1e-10, abs=1e-12)
+    _assert_engine_matches_scalar(filter_spec, innov, varsigma, n=150, reps=30)
+
+
+@pytest.mark.parametrize(
+    "filter_spec,n,reps",
+    [
+        # 625 step blocks, so drift in the carries across blocks would show
+        (README_FILTER, 20000, 6),
+        # 135170 taps, of which a path reads its first 300
+        (FilterSpec(family="polynomial", a=1.0, p=2.5), 300, 10),
+        # x_1 = 0 on every path, so no estimate predicts the second pair
+        (FilterSpec(family="finite", coeffs=(0.0, 1.0)), 150, 30),
+    ],
+    ids=["readme-20000", "polynomial-300", "leading-zero-tap"],
+)
+def test_engine_matches_scalar_reference_on_more_shapes(filter_spec, n, reps):
+    innov = InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5)
+    _assert_engine_matches_scalar(filter_spec, innov, 1.0, n, reps)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(filter_spec=README_FILTER, innovations=InnovationSpec(pi=0.5)),
+        dict(filter_spec=FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)), varsigma=0.5,
+             innovations=InnovationSpec(pi=0.3, family="laplace")),
+    ],
+    ids=["readme-unit-root", "laplace-stationary"],
+)
+def test_columns_do_not_depend_on_want_ape(kw):
+    # the running sums run only for APE; every other column is the same
+    cfg = config(n_grid=(40, 300), reps=200, **kw)
+    with_ape = sample_statistics(cfg, cfg.n_grid, want_ape=True)
+    without = sample_statistics(cfg, cfg.n_grid, want_ape=False)
+    for n, cols in without.items():
+        assert set(cols) < set(with_ape[n])
+        for key, col in cols.items():
+            assert with_ape[n][key].tobytes() == col.tobytes(), (n, key)
+
+
+def test_every_blas_product_has_one_shape(monkeypatch):
+    # numpy sends a one-row product to gemv, which sums in another order, so
+    # one shape for every product keeps a row's bits independent of its tile
+    shapes = set()
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out):
+            shapes.add((a.shape[1:], b.shape, a.flags.c_contiguous and out.flags.c_contiguous))
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(monte_carlo, "np", RecordingNumpy())
+    forty = FilterSpec(family="finite", coeffs=tuple(0.9**j for j in range(40)))
+    for spec, varsigma in ((README_FILTER, 1.0), (forty, 0.5)):
+        cfg = config(filter_spec=spec, varsigma=varsigma, n_grid=(5, 20, 60, 300), reps=20,
+                     statistics=("excess_ape",))
+        for tile_rows in (1, 3):
+            monkeypatch.setattr(streams, "_TILE_VALUES", 2 * _tile_width(cfg) * tile_rows)
+            sample_statistics(cfg, cfg.n_grid, workers=1)
+    assert shapes == {((16, 32), (32, 32), True)}
 
 
 def test_fpe_column_is_exact_product():

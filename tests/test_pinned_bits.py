@@ -35,8 +35,8 @@ def _columns_digest(by_n: dict) -> str:
 
 
 def test_gaussian_unit_root_grid_with_ape():
-    # 27 taps, so n = 5 is scored in a pass of its own; 2500 reps span
-    # several stream-seeding blocks
+    # 27 taps, so a path at n = 5 reads 5 of them, in one step block; 2500
+    # reps span several stream-seeding blocks
     cfg = ExperimentConfig(
         filter_spec=FilterSpec(family="geometric", a=1.0, r=0.5),
         innovations=InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5),
@@ -44,7 +44,7 @@ def test_gaussian_unit_root_grid_with_ape():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "433703615a953fa9acc043d304684f6b717869e45f09aa89b458dccbf0f1c9d6"
+        "599d8e5a6429a30e08c982200942dd699c7b3e254ce9bc30df35360e41bd4391"
     )
 
 
@@ -56,7 +56,7 @@ def test_laplace_stationary():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "577e6368848eeee422a76fc0586a423f48db6ba80d822a885227dea2cad3305e"
+        "5a24f75962d2affd975a71eefe4c9b58c4e89d68e69e8841a09a03bf45168ba2"
     )
 
 
@@ -73,7 +73,7 @@ def test_uniform_with_resampled_rows(monkeypatch):
     columns = sample_statistics(cfg, cfg.n_grid)
     assert columns[30]["resampled"][0] > 0
     assert _columns_digest(columns) == (
-        "d308445f5ba6975d9cd06fa596b62cdfd1fb9970480dd8ee182671cc63fc47ca"
+        "ea260c5c09f6ee98e38722b2de60db3cb91c4a676256df5c2d154e6dd2ff239a"
     )
 
 
@@ -86,7 +86,7 @@ def test_cross_moment_shape_without_ape():
         beta=1.2, n_grid=(2000,), reps=300, base_seed=7,
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid, want_ape=False)) == (
-        "1a7ccf533aa95a0326c5f10cfa83a112ce242bac2398fb0d9c6c8d8b57807799"
+        "e89fa83598fd528a91497df7190867b96874880315f6e1efa64431c80e80f499"
     )
 
 
@@ -101,7 +101,7 @@ def test_stationary_rows_past_the_ar_loop():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "12154fe189b002c6be663f8d2b11cbab77521e789567f0d695fb66b9d5e9d748"
+        "a8f65e8e53898ce31e56b07415f29c3804e526491930f8ee6d6877daf4e4fdf0"
     )
 
 
