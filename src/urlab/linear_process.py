@@ -1,21 +1,22 @@
-"""MA filter construction and unit-root path generation.
+"""MA filter construction and path generation.
 
-The regressor is the integrated linear process
+The regressor is the linear process
 
-    x_t = x_{t-1} + eta_t,    eta_t = sum_{j=0}^{min(t-1, L)} c_j omega_{t-j},
+    x_t = varsigma x_{t-1} + eta_t,    eta_t = sum_{j=0}^{min(t-1, L)} c_j omega_{t-j},
 
 with x_0 = 0 and no pre-sample omegas invented: the convolution runs only
-over lags that exist.  The filter menu (finite, geometric, polynomial) has
-closed-form coefficient sums, so truncation error is controlled exactly
-rather than estimated.
+over lags that exist.  varsigma = 1 is the integrated regressor; with
+|varsigma| < 1, the stationary contrast, a path starts after a burn-in of
+``stationary_burn_in(varsigma)`` steps.  The filter menu (finite,
+geometric, polynomial) has closed-form coefficient sums, so truncation
+error is controlled exactly rather than estimated.
 
 scipy is imported only where it is needed: ``scipy.special`` for the
 polynomial family's zeta sums, ``scipy.signal`` by the scalar oracles
-``generate_path`` and ``decompose`` and for stationary paths longer than
-``_AR_LOOP_MAX_WIDTH``.  The batch engine's MA filter is a block-Toeplitz
-product in ``monte_carlo``, which matches ``scipy.signal.lfilter`` to
-rounding, and its AR recursion is ``ar1_rows``, whose values are
-``lfilter``'s.
+``generate_path`` and ``decompose`` alone.  The batch engine runs the MA
+filter and the recursion, a running sum at the unit root and an AR(1) in
+the stationary contrast, as one block-Toeplitz kernel in ``monte_carlo``,
+which matches ``scipy.signal.lfilter`` to rounding.
 """
 
 from __future__ import annotations
@@ -191,39 +192,6 @@ def materialize_filter(spec: FilterSpec) -> Filter:
 def _check_theta(theta: float) -> None:
     if abs(theta) < _THETA_FLOOR:
         raise ConfigError([f"filter sums to zero: |theta| = {abs(theta):.3g} < {_THETA_FLOOR}"])
-
-
-# The time loop costs one pair of numpy calls per column however few rows
-# it spans, and the engine's blocks hold fewer rows as paths grow longer
-# (2^21 values per block).  scipy's compiled loop is never slower per
-# value, so the numpy loop is there only to keep scipy.signal's import
-# (about 1.5 s and 66 MiB) off short stationary paths.  Measured on two
-# x86-64 cores: equal at 70 values a row, about 2.5 us per replication
-# slower at 2021, 1.7 times scipy's time at 4021 and 6 times at 32021,
-# where stationary_comparison at n = 32000 and 200 reps ran 0.93 s
-# against 0.56 s.  Past the switch a run pays the import instead.
-_AR_LOOP_MAX_WIDTH = 2048
-
-
-def ar1_rows(x: np.ndarray, varsigma: float) -> np.ndarray:
-    """x_t = varsigma * x_{t-1} + x_t along each row from a zero start.
-
-    Integrates ``x`` in place and returns it.  Rows up to
-    ``_AR_LOOP_MAX_WIDTH`` values run a numpy time loop, whose values equal
-    ``signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)`` bit for bit;
-    only the sign of an exact zero can differ, since scipy carries the
-    state as ``x_{t-1} * 0.0 - y_{t-1} * -varsigma``.  Longer rows take
-    that ``lfilter`` call's values themselves.
-    """
-    if x.shape[1] > _AR_LOOP_MAX_WIDTH:
-        from scipy import signal
-
-        x[...] = signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)
-        return x
-    x += 0.0
-    for t in range(1, x.shape[1]):
-        x[:, t] += x[:, t - 1] * varsigma
-    return x
 
 
 @dataclass(eq=False)

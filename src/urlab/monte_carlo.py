@@ -20,7 +20,7 @@ import numpy as np
 from . import brownian
 from .errors import ConfigError, DegenerateRateError, Validated
 from .innovations import InnovationSpec, _scaled_pairs, _standardized
-from .linear_process import Filter, FilterSpec, ar1_rows, materialize_filter, stationary_burn_in
+from .linear_process import Filter, FilterSpec, materialize_filter, stationary_burn_in
 # substream, the per-key reference, stays importable here for bench/layertrace.py
 from .streams import ROLE_PATH, map_units, substream, substreams  # noqa: F401
 from .streams import tile_buffers, tile_rows
@@ -74,10 +74,10 @@ def require(config: ExperimentConfig, check: str) -> None:
 
 
 def __getattr__(name):
-    # scipy.signal, which the engine calls only through ar1_rows on long
-    # stationary rows, stays reachable here for bench/layertrace.py;
-    # importing it only when asked for keeps its slow import off urlab's
-    # start-up
+    # the engine no longer calls scipy.signal; the name stays only for
+    # bench/layertrace.py, which patches it, until that tracer drops it
+    # (ROADMAP item 1).  Importing it only when asked for keeps its slow
+    # import off urlab's start-up
     if name == "signal":
         from scipy import signal
 
@@ -197,48 +197,72 @@ def _padded_values(rows: int, width: int) -> int:
     return -(-blocks // _GEMM_BLOCKS) * _GEMM_BLOCKS * _BLOCK
 
 
+def _ar_scan(a: np.ndarray, phi: float) -> np.ndarray:
+    """a_k += phi a_{k-1} along axis 1 of ``a``, in place, k ascending.
+
+    At phi = 1 this is numpy's ``cumsum``; otherwise a doubling scan,
+    whose step d = 1, 2, 4, ... adds phi^d a_{k-d} to each a_k with
+    k >= d.  It stops once phi^d is subnormal: such products are slow and
+    would add less than 2^-1022 times a value.  Index k takes the same
+    steps in any row longer than k, so a short row's bits are a prefix of
+    a long one's.
+    """
+    if phi == 1.0:
+        return np.cumsum(a, axis=1, out=a)
+    step, power, tiny = 1, phi, np.finfo(float).tiny
+    while step < a.shape[1] and abs(power) >= tiny:
+        a[:, step:] += power * a[:, :-step]
+        step, power = 2 * step, power * power
+    return a
+
+
 @lru_cache(maxsize=8)
-def _toeplitz_block(filt: Filter, taps: int, m: int, integrate: bool) -> np.ndarray:
-    """T_m[i, o] = c_{o + m B - i}, 0 outside the first ``taps`` taps of
-    ``filt``: what input block k - m adds to output block k.  With
-    ``integrate``, T_m U, U the upper-triangular matrix of ones, so the
-    product also sums within the block.  Read-only; the last few built are
-    kept, since every tile of a pass uses the same ones."""
+def _toeplitz_block(filt: Filter, taps: int, m: int, varsigma: float) -> np.ndarray:
+    """T_m V, where T_m[i, o] = c_{o + m B - i}, 0 outside the first
+    ``taps`` taps of ``filt``, is what input block k - m adds to output
+    block k, and V[i, o] = varsigma^(o - i) for o >= i, else 0, runs the
+    AR(1) x_o = varsigma x_{o-1} + eta_o across the block from a zero
+    start (a running sum at the unit root, eta itself at varsigma = 0).
+    Read-only; the last few built are kept, since every tile of a pass
+    uses the same ones."""
     # T_m[i, o] reads a zero-padded run of taps, c_{m B - B + 1} .. c_{m B + B - 1}
     run = np.zeros(2 * _BLOCK - 1)
     lo = m * _BLOCK - _BLOCK + 1
     part = filt.coeffs[max(lo, 0) : min(lo + len(run), taps)]
     run[max(-lo, 0) : max(-lo, 0) + len(part)] = part
-    t = run[_TOEPLITZ_INDEX]
-    if integrate:
-        np.cumsum(t, axis=1, out=t)
+    t = _ar_scan(run[_TOEPLITZ_INDEX], varsigma)  # column o of T_m V
     t.setflags(write=False)
     return t
 
 
 def _filtered_rows(
-    filt: Filter, omega: np.ndarray, integrate: bool, blocks: np.ndarray, out: np.ndarray
+    filt: Filter, omega: np.ndarray, varsigma: float, blocks: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """eta_t = sum_j c_j omega_{t-j} along each row of ``omega`` (rows,
-    width), c being the taps of ``filt``, over the lags that exist; with
-    ``integrate``, its running sum.
+    """The regressors x_t = varsigma x_{t-1} + eta_t, x_0 = 0, along each
+    row of ``omega`` (rows, width), where eta_t = sum_j c_j omega_{t-j}
+    over the lags that exist, c being the taps of ``filt``.  varsigma = 1
+    is the unit root's running sum of eta, varsigma = 0 eta itself.
 
     Each row is cut into blocks of B = _BLOCK steps, its last one
-    zero-padded, and output block k is sum_m A_{k-m} T_m, A_j being input
-    block j (see ``_toeplitz_block``).  Only taps below ``width`` can reach
-    an output, so no more are read, and each T_m is built when it is used.
+    zero-padded, and block k of the products is s_k = sum_m A_{k-m} T_m V,
+    A_j being input block j (see ``_toeplitz_block``): the AR output of
+    block k from a zero start.  Only taps below ``width`` can reach an
+    output, so no more are read, and each T_m V is built when it is used.
     The rows' blocks are stacked and zero-padded to whole products of
     _GEMM_BLOCKS blocks, and every BLAS product has that one shape: numpy
     sends a one-row product to gemv, which sums in another order.  So a
-    row's bits do not depend on the rows stacked with it, and a path's
-    outputs are a prefix of those of any longer path.  Integrating, the
-    products sum within each block, and one short ``cumsum`` of the
-    block ends carries each row across its blocks.
+    row's bits do not depend on the rows stacked with it.  The true block
+    ends are e_k = s_k[B - 1] + varsigma^B e_{k-1}, one ``_ar_scan`` along
+    each row, and output o of block k adds varsigma^(o + 1) e_{k-1}.  At
+    the unit root that scan is a ``cumsum`` and the add needs no product.
+    Every step is causal and prefix-exact, so a path's outputs are a
+    prefix of those of any longer path.
 
-    ``blocks`` (flat) holds the stacked input, then each further product;
-    ``out`` (flat) takes the result, returned as a (rows, width) view.
-    Each needs ``_padded_values(rows, width)`` floats, ``blocks`` twice that
-    when the taps span more than one block.  ``omega`` may lie in ``out``.
+    ``blocks`` (flat) holds the stacked input, then each further product,
+    and last the weighted carries; ``out`` (flat) takes the result,
+    returned as a (rows, width) view.  Each needs
+    ``_padded_values(rows, width)`` floats, ``blocks`` twice that when the
+    taps span more than one block.  ``omega`` may lie in ``out``.
     """
     rows, width = omega.shape
     per_row = -(-width // _BLOCK)
@@ -251,14 +275,17 @@ def _filtered_rows(
     a = blocks[:size].reshape(stack)
     taps = min(len(filt.coeffs), width)
     terms = min(per_row, (taps + _BLOCK - 2) // _BLOCK + 1)
-    np.matmul(a, _toeplitz_block(filt, taps, 0, integrate), out=out[:size].reshape(stack))
+    np.matmul(a, _toeplitz_block(filt, taps, 0, varsigma), out=out[:size].reshape(stack))
     x = out[: padded.size].reshape(rows, per_row, _BLOCK)
     product = blocks[size : 2 * size]
     for m in range(1, terms):
-        np.matmul(a, _toeplitz_block(filt, taps, m, integrate), out=product.reshape(stack))
+        np.matmul(a, _toeplitz_block(filt, taps, m, varsigma), out=product.reshape(stack))
         x[:, m:] += product[: x.size].reshape(x.shape)[:, : per_row - m]
-    if integrate:
-        x[:, 1:] += np.cumsum(x[:, :-1, -1], axis=1)[:, :, None]
+    carry = _ar_scan(x[:, :-1, -1].copy(), varsigma**_BLOCK)[:, :, None]
+    if varsigma != 1.0:  # the spent input blocks take the weighted carries
+        spent = blocks[: x[:, 1:].size].reshape(x[:, 1:].shape)
+        carry = np.multiply(carry, varsigma ** np.arange(1.0, _BLOCK + 1), out=spent)
+    x[:, 1:] += carry
     return x.reshape(rows, -1)[:, :width]
 
 
@@ -303,9 +330,7 @@ def _path_columns(
     draws, planes = work
     om, eps = (plane[: rows * total].reshape(rows, total) for plane in planes)
     _scaled_pairs(innovations, z, out=(om, eps))
-    xs = _filtered_rows(filt, om[:, :-1], varsigma == 1.0, draws, out=planes[0])
-    if varsigma != 1.0:
-        ar1_rows(xs, varsigma)
+    xs = _filtered_rows(filt, om[:, :-1], varsigma, draws, out=planes[0])
     n_max = grid[-1]
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
@@ -371,7 +396,7 @@ def _block_worker(
     """({n: base columns}, {n: resample events}) of the replications in
     ``block``, drawn and scored ``tile`` rows at a time."""
     burn = stationary_burn_in(config.varsigma)
-    # draws fill in sequence and the filter, cumsum and AR recursions are
+    # draws fill in sequence and the filter's blocks and carries are
     # causal, so a path at n is a prefix of the path at n_max
     width = burn + grid[-1] + 1
     values = _padded_values(tile, width)  # at least tile * width

@@ -21,7 +21,6 @@ from urlab import (
     stationary_burn_in,
 )
 from urlab import monte_carlo
-from urlab.linear_process import _AR_LOOP_MAX_WIDTH, ar1_rows
 from urlab.streams import ROLE_PATH, substream
 
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
@@ -243,82 +242,98 @@ def _rows_with_zeros(rows, width, seed):
     return x
 
 
-def _filtered(coeffs, omega, integrate):
+def _filtered(coeffs, omega, varsigma):
     """``monte_carlo._filtered_rows`` of ``omega`` through the taps
-    ``coeffs``, in buffers that start out NaN, as a fresh array."""
+    ``coeffs`` and the AR(1) at ``varsigma``, in buffers that start out
+    NaN, as a fresh array."""
     rows, width = omega.shape
     filt = materialize_filter(FilterSpec(family="finite", coeffs=tuple(coeffs)))
     size = monte_carlo._padded_values(rows, width)
     blocks, out = np.full(2 * size, np.nan), np.full(size, np.nan)
-    return monte_carlo._filtered_rows(filt, omega, integrate, blocks, out).copy()
+    return monte_carlo._filtered_rows(filt, omega, varsigma, blocks, out).copy()
+
+
+def _assert_matches_lfilter(coeffs, x, varsigma):
+    """The kernel against the scalar oracle's two ``lfilter`` passes, FIR
+    then AR(1).  The block products sum in another order than lfilter, so
+    this compares to rounding: a few units in the last place of the
+    largest sum a row could reach."""
+    eta = signal.lfilter(coeffs, [1.0], x, axis=1)
+    want = signal.lfilter([1.0], [1.0, -varsigma], eta, axis=1)
+    tol = 8 * np.finfo(float).eps * np.abs(coeffs).sum() * np.abs(x).sum(axis=1, keepdims=True)
+    got = _filtered(coeffs, x, varsigma)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol), varsigma
+
+
+def _taps(taps):
+    coeffs = np.random.default_rng(taps).standard_normal(taps)
+    coeffs[-1] = -0.5 if taps > 1 else -1.5
+    return coeffs
 
 
 @pytest.mark.parametrize("taps", [1, 2, 3, 27, 40])
 @pytest.mark.parametrize("width", [1, 2, 26, 27, 28, 31, 32, 33, 39, 41, 300, 333])
 def test_fir_rows_match_lfilter_bit_for_bit(taps, width):
-    """The engine's block-Toeplitz FIR filter, and its running sum, against
-    ``lfilter``.  The per-row ``fir_rows`` it replaced matched lfilter bit
-    for bit; the block products sum in another order, so this compares to
-    rounding: a few units in the last place of the largest sum a row could
-    reach.  40 taps span three Toeplitz blocks, and widths around 32 put a
-    row's end on either side of a block's."""
-    coeffs = np.random.default_rng(taps).standard_normal(taps)
-    coeffs[-1] = -0.5 if taps > 1 else -1.5
+    """The block-Toeplitz kernel at varsigma 0 (eta itself) and 1 (its
+    running sum) against ``lfilter``, to rounding: the per-row
+    ``fir_rows`` it replaced matched bit for bit.  40 taps span three
+    Toeplitz blocks, and widths around 32 put a row's end on either side
+    of a block's."""
     # a strided view, as the engine passes omega without its last column
     x = _rows_with_zeros(5, width + 1, seed=width)[:, :-1]
-    eta = signal.lfilter(coeffs, [1.0], x, axis=1)
-    tol = 8 * np.finfo(float).eps * np.abs(coeffs).sum() * np.abs(x).sum(axis=1, keepdims=True)
-    for integrate, want in ((False, eta), (True, np.cumsum(eta, axis=1))):
-        got = _filtered(coeffs, x, integrate)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= tol), integrate
+    for varsigma in (0.0, 1.0):
+        _assert_matches_lfilter(_taps(taps), x, varsigma)
 
 
-@pytest.mark.parametrize("integrate", [False, True], ids=["eta", "x"])
+@pytest.mark.parametrize("varsigma", [0.5, -0.9, 0.0, 0.99, 1.0])
+@pytest.mark.parametrize("width", [1, 2, 50, 333, 2048, 2049, 32001])
+def test_ar1_rows_match_lfilter(varsigma, width):
+    """The kernel's AR(1) rows in both regimes, through 1 to 40 taps: at
+    32001 values the block ends take up to ten doubling steps."""
+    x = _rows_with_zeros(5, width, seed=7)
+    for taps in (1, 2, 27, 40):
+        _assert_matches_lfilter(_taps(taps), x, varsigma)
+
+
+def test_ar1_rows_works_in_place():
+    # the engine passes omega as a strided view of the buffer that takes x
+    coeffs = (1.0, -0.3)
+    filt = materialize_filter(FilterSpec(family="finite", coeffs=coeffs))
+    for width in (3, 333):
+        size = monte_carlo._padded_values(3, width)
+        out = np.full(size, np.nan)
+        omega = out[: 3 * (width + 1)].reshape(3, width + 1)[:, 1:]
+        omega[...] = _rows_with_zeros(3, width, seed=width)
+        want = _filtered(coeffs, omega.copy(), 0.5)
+        got = monte_carlo._filtered_rows(filt, omega, 0.5, np.full(2 * size, np.nan), out)
+        assert got.tobytes() == want.tobytes(), width
+
+
+# varsigma 0 gives eta itself and 1 the unit root's x
+@pytest.mark.parametrize("varsigma", [1.0, 0.0, 0.5, -0.9], ids=["x", "eta", "ar0.5", "ar-0.9"])
 @pytest.mark.parametrize("taps", [27, 40])
-def test_filtered_row_bits_do_not_depend_on_width_rows_or_offset(taps, integrate):
-    # every BLAS product multiplies 16 blocks of 32 steps, so a row's bits
-    # are its own wherever it sits in the stacked blocks
+def test_filtered_row_bits_do_not_depend_on_width_rows_or_offset(taps, varsigma):
+    # every BLAS product multiplies 16 blocks of 32 steps, and the block
+    # ends' scan acts along each row, so a row's bits are its own wherever
+    # it sits in the stacked blocks
     coeffs = np.random.default_rng(taps).standard_normal(taps)
     rng = np.random.default_rng(taps + 1)
     row = rng.standard_normal(333)  # 11 blocks
-    alone = _filtered(coeffs, row[None, :], integrate)[0].tobytes()
+    alone = _filtered(coeffs, row[None, :], varsigma)[0].tobytes()
     for width in (1, 20, 31, 32, 33, 64, 100, 332):  # prefixes, 1-block rows first
-        assert _filtered(coeffs, row[None, :width], integrate)[0].tobytes() == alone[: 8 * width]
+        assert _filtered(coeffs, row[None, :width], varsigma)[0].tobytes() == alone[: 8 * width]
     # row k of a stack starts at block 11 k: offsets 0, 11, 6 (22 - 16), 1, ...
     for rows in (2, 3, 7):
         for at in range(rows):
             stack = rng.standard_normal((rows, 333))
             stack[at] = row
-            assert _filtered(coeffs, stack, integrate)[at].tobytes() == alone, (rows, at)
+            assert _filtered(coeffs, stack, varsigma)[at].tobytes() == alone, (rows, at)
     # a 1-block row at each offset of 17 rows, the last one in a second product
     for at in range(17):
         stack = rng.standard_normal((17, 20))
         stack[at] = row[:20]
-        assert _filtered(coeffs, stack, integrate)[at].tobytes() == alone[: 8 * 20], at
-
-
-@pytest.mark.parametrize("varsigma", [0.5, -0.9, 0.0])
-@pytest.mark.parametrize("width", [1, 2, 50, 333, _AR_LOOP_MAX_WIDTH, _AR_LOOP_MAX_WIDTH + 1])
-def test_ar1_rows_match_lfilter(varsigma, width):
-    x = _rows_with_zeros(5, width, seed=7)
-    want = signal.lfilter([1.0], [1.0, -varsigma], x, axis=1)
-    got = ar1_rows(x.copy(), varsigma)
-    np.testing.assert_array_equal(got, want)
-    if varsigma > 0.0:
-        assert got.tobytes() == want.tobytes()
-    else:
-        # equal by value: scipy's state update can sign an exact zero otherwise
-        nonzero = want != 0.0
-        assert got[nonzero].tobytes() == want[nonzero].tobytes()
-
-
-def test_ar1_rows_works_in_place():
-    for width in (3, _AR_LOOP_MAX_WIDTH + 1):  # the numpy loop, then scipy
-        x = np.arange(3.0 * (width + 1)).reshape(3, width + 1)
-        view = x[:, 1:]
-        assert ar1_rows(view, 0.5) is view
-        np.testing.assert_array_equal(x[0, :4], [0.0, 1.0, 2.5, 4.25])
+        assert _filtered(coeffs, stack, varsigma)[at].tobytes() == alone[: 8 * 20], at
 
 
 # ---------------------------------------------------------- import path
@@ -326,14 +341,18 @@ def test_ar1_rows_works_in_place():
 _IMPORT_PROBE = """
 import sys
 import urlab, urlab.cli
-from urlab import cli, materialize_filter
-import numpy as np
-from urlab.linear_process import FilterSpec, ar1_rows
+from urlab import ExperimentConfig, InnovationSpec, cli, materialize_filter, monte_carlo
+from urlab.linear_process import FilterSpec
 
 config, _ = cli.load_run(open(sys.argv[1], encoding="utf-8").read())
 materialize_filter(config.filter_spec)
-materialize_filter(FilterSpec(family="finite", coeffs=(1.0, 0.5)))
-ar1_rows(np.ones((4, 70)), 0.5)  # short stationary rows
+# a stationary run whose rows, burn-in 20 + 2101 values, are past 2048
+stationary = ExperimentConfig(
+    filter_spec=FilterSpec(family="finite", coeffs=(1.0, 0.5)),
+    innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.5),
+    varsigma=0.5, n_grid=(2100,), reps=4,
+)
+monte_carlo.sample_statistics(stationary, stationary.n_grid, workers=1)
 assert "scipy.signal" not in sys.modules, "scipy.signal"
 assert "scipy.special" not in sys.modules, "scipy.special"
 materialize_filter(FilterSpec(family="polynomial", a=1.0, p=3.0))

@@ -27,7 +27,7 @@ from urlab import (
     stationary_comparison,
 )
 from urlab import brownian, monte_carlo, streams
-from urlab.linear_process import _AR_LOOP_MAX_WIDTH, stationary_burn_in
+from urlab.linear_process import stationary_burn_in
 from urlab.monte_carlo import McSummary, _two_sample_ks
 from urlab.streams import ROLE_PATH, substream
 
@@ -294,11 +294,12 @@ def test_grid_points_equal_single_point_bits(filter_spec, innov, varsigma, want_
 
 
 @pytest.mark.parametrize("varsigma", [0.5, -0.9])
-def test_grid_points_equal_single_point_bits_across_the_ar_switch(varsigma):
-    # the grid's pass integrates with scipy's lfilter, n = 60 alone with the
-    # numpy time loop
-    n_max = _AR_LOOP_MAX_WIDTH + 50
-    assert stationary_burn_in(varsigma) + 60 <= _AR_LOOP_MAX_WIDTH
+def test_grid_points_equal_single_point_bits_on_long_stationary_rows(varsigma):
+    # the grid's rows span at least 64 blocks, so the scan of their block
+    # ends takes 5 (varsigma 0.5, where phi^32 is subnormal) or 7 doubling
+    # steps; n = 60 alone spans 3 or 5 blocks, one or two steps
+    n_max = 2100
+    assert stationary_burn_in(varsigma) + n_max >= 64 * monte_carlo._BLOCK
     cfg = config(reps=40, n_grid=(60, n_max), varsigma=varsigma, base_seed=3)
     _assert_grid_matches_points(cfg, want_ape=True)
 

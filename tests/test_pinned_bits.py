@@ -56,7 +56,7 @@ def test_laplace_stationary():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "5a24f75962d2affd975a71eefe4c9b58c4e89d68e69e8841a09a03bf45168ba2"
+        "49956bf72207b2d6c460c1becfb5a5e176ffcaffce4f2ccbbd73c5a7e0bed16d"
     )
 
 
@@ -90,10 +90,10 @@ def test_cross_moment_shape_without_ape():
     )
 
 
-def test_stationary_rows_past_the_ar_loop():
-    # burn-in 20 + n 2100 puts each row past linear_process._AR_LOOP_MAX_WIDTH,
-    # so ar1_rows writes scipy's lfilter values into its input; 120 reps in
-    # tiles of 30 rows
+def test_long_stationary_rows():
+    # burn-in 20 + n 2100 spans 67 blocks, so the scan of the block ends
+    # takes 5 doubling steps, where n = 100 takes 2; 120 reps in tiles of
+    # 30 rows
     cfg = ExperimentConfig(
         filter_spec=FilterSpec(family="finite", coeffs=(1.0, 0.5)),
         innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=2.0, pi=0.7),
@@ -101,7 +101,7 @@ def test_stationary_rows_past_the_ar_loop():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "a8f65e8e53898ce31e56b07415f29c3804e526491930f8ee6d6877daf4e4fdf0"
+        "e6bbf0b285f4cac75d35dbedba993b47dda7a58972b1c606a25d6be111c7fcb3"
     )
 
 
