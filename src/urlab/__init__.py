@@ -18,11 +18,10 @@ from .brownian import (
 )
 from .errors import (
     ConfigError,
-    DegenerateRateError,
+    DegeneratePathError,
     NotStartedError,
     PathTooShortError,
     ReconstructionError,
-    ResamplePathError,
 )
 from .innovations import FAMILIES, InnovationSpec, derived_correlation, draw_pairs
 from .linear_process import (
@@ -59,7 +58,7 @@ __all__ = [
     "ConfigError",
     "ConstantEstimate",
     "ConstantsReport",
-    "DegenerateRateError",
+    "DegeneratePathError",
     "ExperimentConfig",
     "FAMILIES",
     "FILTER_FAMILIES",
@@ -73,7 +72,6 @@ __all__ = [
     "PathStats",
     "PathTooShortError",
     "ReconstructionError",
-    "ResamplePathError",
     "RlsState",
     "ROLE_BM",
     "ROLE_CONSTANTS",

@@ -16,10 +16,10 @@ about K + 4 draws whatever m, and with K = m - 1 the grid law exactly.
 on common draws, ``limit_sample_batch`` (ROLE_BM) at m.  Batch b draws
 from substream(base_seed, role, b): per-path scalars, then coordinates
 tile by tile in the thread's ``streams.tile_buffers``, so the tile size
-changes no bit.  A path whose Q is under the floor (constants: at either
-grid) is redrawn from substream(base_seed, role, index, attempt), attempt
-1 ... 64, and counted; ResamplePathError ends the run if none clears it.
-Q is at least its tail mean, so this happens only when K = m - 1.
+changes no bit.  No path is redrawn: the first path whose Q is under the
+floor (constants: at either grid) raises DegeneratePathError.  Q is at
+least its tail mean, so this can happen only when K = m - 1, and both
+samplers refuse m < 8, where it is more than a float pathology.
 """
 
 from __future__ import annotations
@@ -31,27 +31,24 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigError, ResamplePathError, Validated
+from .errors import ConfigError, DegeneratePathError, Validated
 from .innovations import derived_correlation
 from .streams import ROLE_BM, ROLE_CONSTANTS, map_units, substream, tile_buffers, tile_rows
 
 # Time integrals below this are degenerate: the exact event has probability
-# zero, so reaching the floor is a float pathology, and the path is redrawn.
+# zero, so reaching the floor is a float pathology, and it ends the run.
 _TIME_INTEGRAL_FLOOR = 1e-12
-
-# Replacement draws tried per degenerate path.  On a sound grid the floor
-# is hit with vanishing probability; at m = 1 every path has Q = 0, and
-# the retries would otherwise never end.
-_MAX_RESAMPLE_ATTEMPTS = 64
 
 # Values per generation batch (draws per path times paths), about 16 MiB.
 # A batch is the stream key: batch b draws from substream(base_seed, role, b).
 _BATCH_VALUES = 1 << 21
 
-# Smallest grid estimate_constants accepts.  Q at grid m is a quadratic
-# form in m - 1 Gaussians, so E[Q^-2], which K2's standard error needs, is
-# finite only when m - 1 > 4; below that the reported se means nothing.
-_MIN_CONSTANTS_GRID = 8
+# Smallest grid either sampler accepts.  Q at grid m is a quadratic form in
+# m - 1 Gaussians, so E[Q^-2], which K2's standard error needs, is finite
+# only when m - 1 > 4; below that the reported se means nothing.  On
+# coarser grids Q also falls under the floor too often to be a float
+# pathology: about once in 10^6 paths at m = 2.
+_MIN_GRID = 8
 
 # Eigenpairs drawn per path.  Putting the rest at their mean moves E[1/Q] at
 # m = 4096 by about -3.5e-5, forty times less than the grid's own bias.
@@ -152,7 +149,7 @@ def limit_sample(path: BmPath, p: LimitParams) -> dict:
     """
     q = time_integral_sq(path.wa)
     if q < _TIME_INTEGRAL_FLOOR:
-        raise ResamplePathError(f"time integral {q:.3g} below {_TIME_INTEGRAL_FLOOR}")
+        raise DegeneratePathError(f"time integral {q:.3g} below {_TIME_INTEGRAL_FLOOR}")
     i_aa = ito_integral(path.wa, path.dwa)
     i_ab = ito_integral(path.wa, path.dwb)
     num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * i_ab) ** 2
@@ -189,27 +186,20 @@ def _constant_draws(m: int, w: np.ndarray, g, z_m, chi_sq) -> tuple[np.ndarray, 
 
 
 def _batch(terms: int, draws: tuple, rows: int, tile: int, reps: int, base_seed: int,
-           role: int, score, batch: int):
-    """(values, redrawn) of batch ``batch`` of ``rows`` paths; ``score(w,
-    *per_path)`` -> (Q, values) divides by max(Q, floor), as rows under the
-    floor are redrawn unread."""
+           role: int, score, batch: int) -> np.ndarray:
+    """Values of batch ``batch`` of ``rows`` paths, ``score(w, *per_path)``
+    -> (Q, values); the first path with Q under the floor raises
+    DegeneratePathError, and its values are never read."""
     start = batch * rows
-    draw = partial(_scored, terms=terms, draws=draws, tile=tile, score=score)
-    q, values = draw(substream(base_seed, role, batch), min(rows, reps - start))
-    redraw = np.nonzero(q < _TIME_INTEGRAL_FLOOR)[0]
-    for r in redraw:
-        index = start + int(r)
-        for attempt in range(1, _MAX_RESAMPLE_ATTEMPTS + 1):
-            q1, new = draw(substream(base_seed, role, index, attempt), 1)
-            if q1[0] >= _TIME_INTEGRAL_FLOOR:
-                values[:, r] = new[:, 0]
-                break
-        else:
-            raise ResamplePathError(
-                f"path {index}: time integral below {_TIME_INTEGRAL_FLOOR} "
-                f"on {_MAX_RESAMPLE_ATTEMPTS} resamples"
-            )
-    return values, len(redraw)
+    q, values = _scored(substream(base_seed, role, batch), min(rows, reps - start), terms,
+                        draws, tile, score)
+    low = np.flatnonzero(q < _TIME_INTEGRAL_FLOOR)
+    if len(low):
+        raise DegeneratePathError(
+            f"path {start + int(low[0])}: time integral {q[low[0]]:.3g} "
+            f"below {_TIME_INTEGRAL_FLOOR}"
+        )
+    return values
 
 
 def _scored(rng, paths: int, terms: int, draws: tuple, tile: int, score):
@@ -228,9 +218,9 @@ def _scored(rng, paths: int, terms: int, draws: tuple, tile: int, score):
     return np.concatenate(qs), np.concatenate(values, axis=1)
 
 
-def _sampled(m, extra, reps, base_seed, role, score, workers):
-    """(values, redrawn) of ``reps`` grid-m paths, whose scalars are the
-    tail chi-square, g, z_m and ``extra`` (a ``_scored`` draw)."""
+def _sampled(m, extra, reps, base_seed, role, score, workers) -> np.ndarray:
+    """Values of ``reps`` grid-m paths, whose scalars are the tail
+    chi-square, g, z_m and ``extra`` (a ``_scored`` draw)."""
     terms = min(_TERMS, m - 1)
     draws = (m - 1 - terms, None, None, extra)
     width = terms + len(draws)
@@ -240,16 +230,14 @@ def _sampled(m, extra, reps, base_seed, role, score, workers):
                    role, score)
     # an open pool takes even one batch, keeping the paths out of a run's process
     mapped = workers.map if hasattr(workers, "map") else partial(map_units, workers=workers)
-    batches = list(mapped(work, range(-(-reps // rows))))
-    return (np.concatenate([values for values, _ in batches], axis=1),
-            sum(redrawn for _, redrawn in batches))
+    return np.concatenate(list(mapped(work, range(-(-reps // rows)))), axis=1)
 
 
 def _limit_score(p: LimitParams, m: int, w: np.ndarray, chi_sq, g, z_m, u):
     """(Q, [fpe draws, mse draws]) of grid-m paths; I_ab = sqrt(Q) u."""
     q, w1, i_aa = _constant_draws(m, w, g, z_m, chi_sq)
     num = (p.rho * p.sigma_omega * i_aa + p.sigma_theta * np.sqrt(q) * u) ** 2
-    q_sq = np.maximum(q, _TIME_INTEGRAL_FLOOR) ** 2
+    q_sq = q**2
     return q, np.stack((w1**2 * num / q_sq, num / (p.lam**2 * q_sq)))
 
 
@@ -257,16 +245,17 @@ def limit_sample_batch(
     p: LimitParams, m: int, reps: int, base_seed: int,
     workers: int | Executor | None = None,
 ) -> dict:
-    """Vectorized limit_sample over ``reps`` paths; ``resampled`` counts
-    redraws.  Batches run over ``workers``, an open pool or a process
-    count (None: the usable cores), with equal bits."""
-    if m < 1:
-        raise ConfigError([f"grid size m must be >= 1, got {m}"])
+    """Vectorized limit_sample over ``reps`` paths.  Batches run over
+    ``workers``, an open pool or a process count (None: the usable cores),
+    with equal bits.  ``resampled`` is always 0, since no path is redrawn;
+    it stays only because bench/ reads it, until ROADMAP item 1 drops that
+    read."""
+    if m < _MIN_GRID:
+        raise ConfigError([f"grid size m must be >= {_MIN_GRID}, got {m}"])
     if reps < 1:
         raise ConfigError([f"reps must be >= 1, got {reps}"])
-    draws, resampled = _sampled(m, None, reps, base_seed, ROLE_BM, partial(_limit_score, p, m),
-                                workers)
-    return {"fpe_limit_draw": draws[0], "mse_limit_draw": draws[1], "resampled": resampled}
+    draws = _sampled(m, None, reps, base_seed, ROLE_BM, partial(_limit_score, p, m), workers)
+    return {"fpe_limit_draw": draws[0], "mse_limit_draw": draws[1], "resampled": 0}
 
 
 @dataclass(frozen=True)
@@ -301,7 +290,6 @@ class ConstantsReport:
     k2_refined: ConstantEstimate
     k1_gap: float  # |K1(m) - K1(2m)| on common draws
     k2_gap: float
-    resampled: int  # paths redrawn because Q fell under the floor
 
     def as_dict(self) -> dict:
         """JSON-ready nested dict; keys follow field order."""
@@ -315,12 +303,12 @@ def estimate_constants(
     """Monte Carlo estimates of K1 = E[(I/Q)^2] and K2 = E[1/Q] at grids m
     and 2m on common draws, so the (m, 2m) gap is a matched discretization
     measurement, not two noisy runs.  Bits are equal whatever ``workers``."""
-    if m < _MIN_CONSTANTS_GRID:
-        raise ConfigError([f"grid size m must be >= {_MIN_CONSTANTS_GRID}, got {m}"])
+    if m < _MIN_GRID:
+        raise ConfigError([f"grid size m must be >= {_MIN_GRID}, got {m}"])
     if reps < 2:
         raise ConfigError([f"reps must be >= 2, got {reps}"])
-    draws, resampled = _sampled(m, m, reps, base_seed, ROLE_CONSTANTS,
-                                partial(_constants_score, m), workers)
+    draws = _sampled(m, m, reps, base_seed, ROLE_CONSTANTS, partial(_constants_score, m),
+                     workers)
     means = draws.mean(axis=1)
     draws -= means[:, None]
     ses = np.sqrt(np.square(draws, out=draws).mean(axis=1) / (reps - 1))
@@ -329,7 +317,7 @@ def estimate_constants(
         for name, mean, se, grid in zip(("K1", "K2") * 2, means, ses, (m, m, 2 * m, 2 * m))
     ]
     gaps = (abs(float(gap)) for gap in means[:2] - means[2:])
-    return ConstantsReport(m, reps, base_seed, *estimates, *gaps, resampled)
+    return ConstantsReport(m, reps, base_seed, *estimates, *gaps)
 
 
 def _constants_score(m: int, w: np.ndarray, chi_sq, g, z_m, chi_sq_extra):
@@ -338,9 +326,8 @@ def _constants_score(m: int, w: np.ndarray, chi_sq, g, z_m, chi_sq_extra):
     qs, draws = [], []
     for grid, tail in ((m, chi_sq), (2 * m, chi_sq + chi_sq_extra)):
         q, _, i_aa = _constant_draws(grid, w, g, z_m, tail)
-        d = np.maximum(q, _TIME_INTEGRAL_FLOOR)
         qs.append(q)
-        draws += [(i_aa / d) ** 2, 1.0 / d]
+        draws += [(i_aa / q) ** 2, 1.0 / q]
     return np.minimum(*qs), np.stack(draws)
 
 

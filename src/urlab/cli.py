@@ -35,10 +35,9 @@ run whose filter's leading zero taps make every path unscoreable, a filter
 key its family does not read, a target out of its range, a check its NEEDS
 entry refuses, or an output directory that cannot be created) or usage
 (--workers < 1),
-3 paths that cannot be scored (DegenerateRateError, or ResamplePathError
-when a Brownian path of constants or limit-check finds no replacement
-within the resample cap), 4 a worker process of the --workers pool died
-(BrokenProcessPool).
+3 a path that cannot be scored (DegeneratePathError, raised by the first
+degenerate finite-n or Brownian path; none is redrawn), 4 a worker process
+of the --workers pool died (BrokenProcessPool).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, brownian, monte_carlo, reporting
-from .errors import ConfigError, DegenerateRateError, ResamplePathError, Validated
+from .errors import ConfigError, DegeneratePathError, Validated
 from .innovations import InnovationSpec
 from .linear_process import FilterSpec, materialize_filter
 from .monte_carlo import ExperimentConfig
@@ -85,7 +84,7 @@ class Targets(Validated):
         out = []
         # estimate_constants' grid floor; past 2^20 the grid's bias in K2,
         # about 5.6 / m, is below any standard error a run can reach
-        m_log2_min = brownian._MIN_CONSTANTS_GRID.bit_length() - 1
+        m_log2_min = brownian._MIN_GRID.bit_length() - 1
         m_log2_max = 20
         if not m_log2_min <= self.m_log2 <= m_log2_max:
             out.append(f"m_log2 must be >= {m_log2_min} and <= {m_log2_max}, got {self.m_log2}")
@@ -584,7 +583,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (DegenerateRateError, ResamplePathError, BrokenProcessPool) as exc:
+    except (DegeneratePathError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, BrokenProcessPool) else 3
     if failures and args.strict:

@@ -79,13 +79,9 @@ class ReconstructionError(RuntimeError):
     usually because the filter does not match the trajectory."""
 
 
-class DegenerateRateError(RuntimeError):
-    """Too many finite-n paths on which no prediction can be scored: the
-    model itself cannot be scored, so resampling would not end."""
-
-
-class ResamplePathError(RuntimeError):
-    """Brownian path with a numerically degenerate time integral, raised by
-    ``limit_sample`` for its caller to redraw the path from a tagged
-    substream, and by ``brownian._batch`` to end the run (exit 3) when 64
-    redraws of the path all stay degenerate."""
+class DegeneratePathError(RuntimeError):
+    """A simulated path that cannot be scored: a finite-n path with no
+    nonzero regressor before its final pair, or a Brownian path whose time
+    integral is under the floor.  On a config that passes its checks
+    either is a float pathology, so the first one ends the run (exit 3);
+    no path is redrawn, and every moment is over all the paths drawn."""

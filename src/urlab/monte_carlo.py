@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import brownian
-from .errors import ConfigError, DegenerateRateError, Validated
+from .errors import ConfigError, DegeneratePathError, Validated
 from .innovations import InnovationSpec, _scaled_pairs, _standardized
 from .linear_process import Filter, FilterSpec, materialize_filter, stationary_burn_in
 # substream, the per-key reference, stays importable here for bench/layertrace.py
@@ -44,7 +44,6 @@ _BLOCK = 32
 _GEMM_BLOCKS = 16
 _TOEPLITZ_INDEX = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None] + _BLOCK - 1
 
-MAX_FAILURE_RATE = 1e-3
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
 
 # Every gate of the finite-n checks, in one place: check -> (mode, reps
@@ -298,9 +297,9 @@ def _path_columns(
     burn: int,
     grid: tuple[int, ...],
     want_ape: bool,
-) -> dict[int, tuple[dict, np.ndarray]]:
-    """{n: (base per-path quantities, degenerate row mask)} at every n of
-    ``grid`` from standardized draws ``z`` (rows, burn + grid[-1] + 1, 2)
+) -> tuple[dict[int, dict], np.ndarray]:
+    """({n: base per-path quantities} at every n of ``grid``, degenerate
+    row mask) from standardized draws ``z`` (rows, burn + grid[-1] + 1, 2)
     of the ``innovations`` law; the quantities are x_n and the estimation
     error d = beta_hat - beta, plus ape and the scored-eps sse when
     ``want_ape``.
@@ -334,7 +333,10 @@ def _path_columns(
     n_max = grid[-1]
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
-    bad = {n: _degenerate_mask(u[:, : n - 1]) for n in grid}
+    # a row degenerate at n is degenerate at every smaller n, since its
+    # x_1 .. x_{n-2} contain every shorter prefix: so the mask at grid[0]
+    # holds every row that is degenerate anywhere on the grid
+    bad = _degenerate_mask(u[:, : grid[0] - 1])
     pairs = draws[: 2 * rows * (n_max - 1)].view(complex).reshape(rows, n_max - 1)
     np.multiply(u, u, out=pairs.real)
     np.multiply(u, eps[:, burn + 1 : burn + n_max], out=pairs.imag)  # eps_2 .. eps_n
@@ -362,7 +364,7 @@ def _path_columns(
         for n in grid:
             cols[n]["sse"] = e2[:, : n - 2].sum(axis=1)
             cols[n]["ape"] = err[:, : n - 2].sum(axis=1)
-    return {n: (cols[n], bad[n]) for n in grid}
+    return cols, bad
 
 
 def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]:
@@ -382,60 +384,40 @@ def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]
     return cols
 
 
-def _rate_error(failures: int, where: str) -> DegenerateRateError:
-    return DegenerateRateError(
-        f"degenerate-path rate exceeded {MAX_FAILURE_RATE:.1%} ({failures} resample events "
-        f"{where}); model cannot score predictions"
-    )
-
-
 def _block_worker(
     config: ExperimentConfig, filt: Filter, grid: tuple[int, ...], want_ape: bool,
-    max_failures: float, tile: int, block: range,
-) -> tuple[dict, dict]:
-    """({n: base columns}, {n: resample events}) of the replications in
-    ``block``, drawn and scored ``tile`` rows at a time."""
+    tile: int, block: range,
+) -> dict:
+    """{n: base columns} of the replications in ``block``, drawn and scored
+    ``tile`` rows at a time; the first degenerate path raises
+    DegeneratePathError."""
     burn = stationary_burn_in(config.varsigma)
     # draws fill in sequence and the filter's blocks and carries are
     # causal, so a path at n is a prefix of the path at n_max
     width = burn + grid[-1] + 1
     values = _padded_values(tile, width)  # at least tile * width
     draws, planes = tile_buffers(((2 * values,), float), ((2, values), float))
-
+    # seeded once for all the tiles, which take the streams in turn
+    streams = substreams(config.base_seed, ROLE_PATH, np.arange(block.start, block.stop))
     out: dict[int, dict[str, np.ndarray]] = {}
-    failures = dict.fromkeys(grid, 0)
-    # (reps, points) to score at this attempt; a row degenerate at n is
-    # rescored at n alone from its next attempt
-    todo, attempt = [(np.arange(block.start, block.stop), grid)], 0
-    while todo:
-        retry = []
-        for reps, points in todo:
-            # seeded once for all the tiles, which take the streams in turn
-            streams = substreams(config.base_seed, ROLE_PATH, reps, attempt)
-            total = burn + points[-1] + 1
-            redraw = {n: [] for n in points}
-            for lo in range(0, len(reps), tile):
-                rows = reps[lo : lo + tile]
-                z = draws[: 2 * len(rows) * total].reshape(len(rows), total, 2)
-                scored = _path_columns(
-                    _draws(streams, config.innovations.family, z), (draws, planes),
-                    config.innovations, filt, config.varsigma, burn, points, want_ape,
-                )
-                for n, (cols, bad) in scored.items():
-                    if n not in out:
-                        out[n] = {name: np.empty(len(block)) for name in cols}
-                    for name, col in cols.items():
-                        out[n][name][rows[~bad] - block.start] = col[~bad]
-                    redraw[n].append(rows[bad])
-            for n, parts in redraw.items():
-                bad_reps = np.concatenate(parts)
-                failures[n] += len(bad_reps)
-                if failures[n] > max_failures:
-                    raise _rate_error(failures[n], f"at n={n}")
-                if len(bad_reps):
-                    retry.append((bad_reps, (n,)))
-        todo, attempt = retry, attempt + 1
-    return out, failures
+    for lo in range(0, len(block), tile):
+        rows = min(tile, len(block) - lo)
+        z = draws[: 2 * rows * width].reshape(rows, width, 2)
+        scored, bad = _path_columns(
+            _draws(streams, config.innovations.family, z), (draws, planes),
+            config.innovations, filt, config.varsigma, burn, grid, want_ape,
+        )
+        if bad.any():
+            raise DegeneratePathError(
+                f"path {block.start + lo + int(np.argmax(bad))}: every regressor before "
+                f"the final pair is 0 at n={grid[0]}, so no prediction can be scored"
+            )
+        for n, cols in scored.items():
+            if n not in out:
+                out[n] = {name: np.empty(len(block)) for name in cols}
+            for name, col in cols.items():
+                out[n][name][lo : lo + rows] = col
+    return out
 
 
 def sample_statistics(
@@ -457,33 +439,32 @@ def sample_statistics(
     planes, whose reuse ``_path_columns`` schedules.  So each tile row
     takes four float planes of its path's length, and a process touches
     about 2.3 MiB of fresh memory at n = 32000, not a block's 100 MiB.
-    The columns at n, ``resampled`` included, are bit-identical to those
-    of a call with grid (n,), whatever the worker count or tile size:
-    streams are keyed by replication index, and the filter's BLAS
-    products have one shape (see ``_filtered_rows``).  With or without
-    ``want_ape``, every column returned has the same bits.
+    The columns at n are bit-identical to those of a call with grid (n,),
+    whatever the worker count or tile size: streams are keyed by
+    replication index, and the filter's BLAS products have one shape (see
+    ``_filtered_rows``).  With or without ``want_ape``, every column
+    returned has the same bits.  No path is redrawn: a path degenerate at
+    the smallest n raises DegeneratePathError, naming the lowest such
+    replication index whatever the worker count.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:
         want_ape = "excess_ape" in config.statistics
     filt = materialize_filter(config.filter_spec)
-    max_failures = max(1.0, MAX_FAILURE_RATE * config.reps)
     width = stationary_burn_in(config.varsigma) + grid[-1] + 1
     rows = min(_CHUNK, max(4, _ROW_VALUES // (2 * width)))
     # a tile row holds its path rounded up to whole blocks of the filter
     tile = tile_rows(rows, 2 * _BLOCK * -(-width // _BLOCK))
-    work = partial(_block_worker, config, filt, grid, want_ape, max_failures, tile)
+    work = partial(_block_worker, config, filt, grid, want_ape, tile)
     blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
     results = map_units(work, blocks, workers)
-    merged = {}
-    for n in grid:
-        failures = sum(r[1][n] for r in results)
-        if failures > max_failures:
-            raise _rate_error(failures, f"over {config.reps} reps at n={n}")
-        base = {name: np.concatenate([r[0][n][name] for r in results]) for name in results[0][0][n]}
-        merged[n] = _published_columns(base, config.beta, n)
-        merged[n]["resampled"] = np.array([failures])
-    return merged
+    return {
+        n: _published_columns(
+            {name: np.concatenate([r[n][name] for r in results]) for name in results[0][n]},
+            config.beta, n,
+        )
+        for n in grid
+    }
 
 
 def _mean_se(a: np.ndarray) -> tuple[float, float]:

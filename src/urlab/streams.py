@@ -1,17 +1,18 @@
 """Keyed random-number streams for reproducible parallel replication.
 
 Every consumer of randomness addresses its stream by a (base_seed, role,
-index, attempt) key instead of drawing from a shared generator.  The key
-is hashed through SeedSequence, so replication ``index`` receives the
-same draws no matter which worker runs it, in what order replications
-finish, or how work is chunked.
+index) key instead of drawing from a shared generator.  The key is hashed
+through SeedSequence, with a constant third spawn-key word 0, so
+replication ``index`` receives the same draws no matter which worker runs
+it, in what order replications finish, or how work is chunked.  No path
+is ever redrawn, so a key has exactly one stream.
 
 ``substream`` is the definition of a key's stream.  ``substreams`` is
 the batch path for a block of indices, bit for bit equal to
 ``substream`` on each key.  It restates only the part of SeedSequence's
 hashing (pool of 4 uint32 words) that numpy cannot run over an array of
 indices: numpy hashes base_seed and role into the pool, ``_seed_words``
-mixes in the index and attempt words and hashes the output in uint32
+mixes in the index word and the 0 word and hashes the output in uint32
 arrays over up to ``_BLOCK`` indices at a time, and numpy seeds a fresh
 PCG64DXSM from each key's words.  A block with an index outside [0,
 2**32), which SeedSequence splits into more than one word, or a negative
@@ -50,13 +51,11 @@ ROLE_BM = 1         # Brownian batches for limit-law sampling
 ROLE_CONSTANTS = 2  # Brownian batches for constant estimation
 
 
-def substream(base_seed: int, role: int, index: int, attempt: int = 0) -> Generator:
-    """Independent generator for one (role, index, attempt) cell.
-
-    ``attempt`` > 0 tags resampled replacements for degenerate draws so
-    that retries stay deterministic too.
-    """
-    seq = SeedSequence(entropy=base_seed, spawn_key=(role, index, attempt))
+def substream(base_seed: int, role: int, index: int) -> Generator:
+    """Independent generator for one (role, index) cell.  The spawn key's
+    constant third word 0 is part of the reproducibility contract: without
+    it every draw would change."""
+    seq = SeedSequence(entropy=base_seed, spawn_key=(role, index, 0))
     return Generator(PCG64DXSM(seq))
 
 
@@ -96,9 +95,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ out >> 16
 
 
-def _seed_words(base_seed: int, role: int, indices: np.ndarray, attempt: int) -> np.ndarray:
+def _seed_words(base_seed: int, role: int, indices: np.ndarray) -> np.ndarray:
     """(len(indices), 4) uint64: ``SeedSequence(base_seed, spawn_key=(role,
-    i, attempt)).generate_state(4, np.uint64)`` for each i < 2**32.
+    i, 0)).generate_state(4, np.uint64)`` for each i < 2**32.
 
     numpy's pool holds base_seed's words, zero-padded to the pool size as
     for any spawn key, then role's.  Each word absorbed steps the entropy
@@ -109,8 +108,7 @@ def _seed_words(base_seed: int, role: int, indices: np.ndarray, attempt: int) ->
     hash_const = _INIT_A * pow(_MULT_A, _POOL * absorbed, 1 << 32) & _MASK32
     prefix = SeedSequence(base_seed, spawn_key=(role,)).pool
     pool = [np.full(k, word, dtype=np.uint32) for word in prefix.tolist()]
-    attempt_words = [np.full(k, word, dtype=np.uint32) for word in _words(attempt)]
-    for word in [indices.astype(np.uint32)] + attempt_words:
+    for word in (indices.astype(np.uint32), np.zeros(k, dtype=np.uint32)):
         for dst in range(_POOL):
             hashed, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], hashed)
@@ -135,19 +133,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def substreams(
-    base_seed: int, role: int, indices: np.ndarray, attempt: int = 0
-) -> Iterator[Generator]:
-    """The generators ``substream(base_seed, role, i, attempt)`` for each i
-    of ``indices``, in order and bit for bit, each a generator of its own."""
+def substreams(base_seed: int, role: int, indices: np.ndarray) -> Iterator[Generator]:
+    """The generators ``substream(base_seed, role, i)`` for each i of
+    ``indices``, in order and bit for bit, each a generator of its own."""
     indices = np.asarray(indices, dtype=np.int64)
     for start in range(0, len(indices), _BLOCK):
         block = indices[start : start + _BLOCK]
-        if min(base_seed, role, attempt, block.min()) < 0 or block.max() > _MASK32:
+        if min(base_seed, role, block.min()) < 0 or block.max() > _MASK32:
             for index in block.tolist():
-                yield substream(base_seed, role, index, attempt)
+                yield substream(base_seed, role, index)
             continue
-        for words in _seed_words(base_seed, role, block, attempt):
+        for words in _seed_words(base_seed, role, block):
             yield Generator(PCG64DXSM(_SeedWords(words)))
 
 

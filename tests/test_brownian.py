@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from urlab import (
     CANONICAL_K1,
     CANONICAL_K2,
     ConfigError,
+    DegeneratePathError,
     FilterSpec,
     InnovationSpec,
     LimitParams,
-    ResamplePathError,
     estimate_constants,
     ito_integral,
     limit_sample,
@@ -207,89 +208,63 @@ def test_batch_deterministic_and_seed_sensitive():
     assert a["resampled"] == 0
 
 
-def test_resampling_is_bounded(monkeypatch):
-    # m = 1 has Q = 0 on every path: no replacement can ever pass the floor
-    with pytest.raises(ResamplePathError, match="resamples"):
-        limit_sample_batch(unit_params(), 1, 4, base_seed=0)
-    monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", math.inf)
-    with pytest.raises(ResamplePathError, match="resamples"):
-        limit_sample_batch(unit_params(), 16, 4, base_seed=0)
-
-
-def test_both_samplers_redraw_degenerate_paths_alike(monkeypatch):
-    # a raised floor flags a few of 200 paths at m = 16 in each sampler; a
-    # flagged path is replaced by the first of its (index, attempt) streams
-    # that clears the floor.  At m = 16 every eigenpair is drawn, so the
-    # grid-m side is the exact grid path.
-    floor, m, reps, seed = 0.04, 16, 200, 3
-    monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
-    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
-
-    def limit_path(rng, paths):
-        _, z_m, u = rng.standard_normal((3, paths))
-        w = rng.standard_normal((paths, m - 1))
-        return [grid_path(m, w[i], z_m[i], u[i]) for i in range(paths)]
-
-    out = limit_sample_batch(p, m, reps, base_seed=seed)
-    redrawn = 0
-    for i, path in enumerate(limit_path(substream(seed, ROLE_BM, 0), reps)):
-        attempt = 0
-        while time_integral_sq(path.wa) < floor:
-            attempt += 1
-            assert attempt <= 64
-            (path,) = limit_path(substream(seed, ROLE_BM, i, attempt), 1)
-        redrawn += attempt > 0
-        want = limit_sample(path, p)
-        for key in ("fpe_limit_draw", "mse_limit_draw"):
-            assert out[key][i] == pytest.approx(want[key], rel=1e-9)
-    assert out["resampled"] == redrawn > 0
-
-    # constants: a path is redrawn when Q at either grid is under the floor;
-    # the grid-2m side draws its tail: the grid-m tail has 0 degrees, so
-    # the fine chi-square is the extra one on m degrees, drawn after g, z_m
-    def constant_rows(rng, paths):
-        g, z_m = rng.standard_normal((2, paths))
-        chi_sq = rng.chisquare(m, paths)
-        w = rng.standard_normal((paths, m - 1))
-        q_f, _, i_f = brownian._constant_draws(2 * m, w, g, z_m, chi_sq)
-        for i in range(paths):
-            path = grid_path(m, w[i], z_m[i], 0.0)
-            q_c, i_c = time_integral_sq(path.wa), ito_integral(path.wa, path.dwa)
-            yield min(q_c, q_f[i]), ((i_c / q_c) ** 2, 1.0 / q_c, (i_f[i] / q_f[i]) ** 2, 1.0 / q_f[i])
-
-    report = estimate_constants(m=m, reps=reps, base_seed=seed)
-    rows, redrawn = [], 0
-    for i, (q, row) in enumerate(constant_rows(substream(seed, ROLE_CONSTANTS, 0), reps)):
-        attempt = 0
-        while q < floor:
-            attempt += 1
-            assert attempt <= 64
-            ((q, row),) = constant_rows(substream(seed, ROLE_CONSTANTS, i, attempt), 1)
-        redrawn += attempt > 0
-        rows.append(row)
-    assert report.resampled == redrawn > 0
-    got = (report.k1, report.k2, report.k1_refined, report.k2_refined)
-    for est, want in zip(got, np.mean(rows, axis=0)):
-        assert est.value == pytest.approx(want, rel=1e-9)
-
-
-@pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "redraws"])
-def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
-    # a batch of 30 paths at grid 16 (19 values each): 200 paths make 7
-    # batches in each sampler; the raised floor of the redraw test above
-    # flags a few paths in each
+def _samplers(monkeypatch, floor):
+    """Both samplers at grid 16 on 200 paths, in batches of 30 paths (19
+    values each), so 7 batches each; a raised ``floor`` flags a few paths
+    in each sampler."""
     monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 19)
     if floor is not None:
         monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
     p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
-    solo = limit_sample_batch(p, 16, 200, base_seed=3)
-    duo = limit_sample_batch(p, 16, 200, base_seed=3, workers=2)
-    for key in ("fpe_limit_draw", "mse_limit_draw"):
-        assert duo[key].tobytes() == solo[key].tobytes(), key
-    assert duo["resampled"] == solo["resampled"]
-    assert (solo["resampled"] > 0) == (floor is not None)
-    report = estimate_constants(m=16, reps=200, base_seed=3)
-    assert estimate_constants(m=16, reps=200, base_seed=3, workers=2) == report
+    return (partial(limit_sample_batch, p, 16, 200, base_seed=3),
+            partial(estimate_constants, m=16, reps=200, base_seed=3))
+
+
+def _outcome(sample, **kw):
+    """A sampler's draws as bytes, its report, or the message of the
+    DegeneratePathError that ended it."""
+    try:
+        out = sample(**kw)
+    except DegeneratePathError as exc:
+        return str(exc)
+    if isinstance(out, dict):
+        return {key: np.asarray(value).tobytes() for key, value in out.items()}
+    return out
+
+
+def test_first_degenerate_path_ends_each_sampler(monkeypatch):
+    # at m = 16 every eigenpair is drawn, so the grid-m side is the exact
+    # grid path; the constants' grid-2m side draws its tail, the extra
+    # chi-square on m degrees after g and z_m.  A path is degenerate when
+    # its Q (constants: at either grid) is under the floor, and the error
+    # names the lowest such path.
+    floor, m = 0.04, 16
+    limit, constants = _samplers(monkeypatch, floor)
+    for sample, role in ((limit, ROLE_BM), (constants, ROLE_CONSTANTS)):
+        low = []
+        for batch in range(7):
+            rng, paths = substream(3, role, batch), min(30, 200 - 30 * batch)
+            g, z_m = rng.standard_normal((2, paths))
+            # I_ab's normal, or the constants' extra chi-square
+            extra = rng.standard_normal(paths) if role == ROLE_BM else rng.chisquare(m, paths)
+            w = rng.standard_normal((paths, m - 1))
+            q = np.array([time_integral_sq(grid_path(m, w[i], z_m[i], 0.0).wa)
+                          for i in range(paths)])
+            if role == ROLE_CONSTANTS:
+                q = np.minimum(q, brownian._constant_draws(2 * m, w, g, z_m, extra)[0])
+            low += (30 * batch + np.flatnonzero(q < floor)).tolist()
+        assert 0 < low[0] and len(low) > 1
+        with pytest.raises(DegeneratePathError, match=f"^path {low[0]}: time integral "):
+            sample()
+
+
+@pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "degenerate"])
+def test_samplers_equal_bits_in_a_pool(monkeypatch, floor):
+    # equal draws, or the same first degenerate path, with or without a pool
+    for sample in _samplers(monkeypatch, floor):
+        solo = _outcome(sample, workers=1)
+        assert isinstance(solo, str) == (floor is not None)
+        assert _outcome(sample, workers=2) == solo
 
 
 def test_an_open_pool_takes_even_one_batch(counting_pool):
@@ -326,25 +301,17 @@ def test_threads_of_one_process_do_not_share_tiles(monkeypatch):
         assert threaded[key].tobytes() == solo[key].tobytes(), key
 
 
-@pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "redraws"])
+@pytest.mark.parametrize("floor", [None, 0.04], ids=["plain", "degenerate"])
 @pytest.mark.parametrize("tile_rows", [1, 7])
 def test_tile_size_does_not_change_bits(monkeypatch, floor, tile_rows):
-    # batches of 30 paths at grid 16 (19 values each) are one tile by
-    # default; tiles of one row, or of 7 rows, which do not divide 30, must
-    # give the same bytes, redrawn paths included
-    monkeypatch.setattr(brownian, "_BATCH_VALUES", 30 * 19)
-    if floor is not None:
-        monkeypatch.setattr(brownian, "_TIME_INTEGRAL_FLOOR", floor)
-    p = LimitParams(rho=0.6, sigma_omega=1.2, sigma_theta=0.7, theta=1.5)
-    whole = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
-    report = estimate_constants(m=16, reps=200, base_seed=3, workers=1)
+    # batches of 30 paths are one tile by default; tiles of one row, or of
+    # 7 rows, which do not divide 30, must give the same bytes, or end on
+    # the same first degenerate path
+    samplers = _samplers(monkeypatch, floor)
+    whole = [_outcome(sample, workers=1) for sample in samplers]
+    assert [isinstance(out, str) for out in whole] == [floor is not None] * 2
     monkeypatch.setattr(streams, "_TILE_VALUES", tile_rows * 2 * 19)
-    tiled = limit_sample_batch(p, 16, 200, base_seed=3, workers=1)
-    for key in ("fpe_limit_draw", "mse_limit_draw"):
-        assert tiled[key].tobytes() == whole[key].tobytes(), key
-    assert tiled["resampled"] == whole["resampled"]
-    assert (whole["resampled"] > 0) == (floor is not None)
-    assert estimate_constants(m=16, reps=200, base_seed=3, workers=1) == report
+    assert [_outcome(sample, workers=1) for sample in samplers] == whole
 
 
 def test_fpe_draw_mean_near_two_sigma_sq():
@@ -435,7 +402,7 @@ def test_constants_report_shape():
     assert d["m"] == 128
     assert d["k1_refined"]["m"] == 256
     assert d["k1_gap"] >= 0.0
-    assert d["resampled"] == 0
+    assert "resampled" not in d
     assert report.k1.se > 0.0
 
 
@@ -449,14 +416,23 @@ def test_estimate_constants_validation():
 
 
 @pytest.mark.parametrize("m,reps,problem", [
-    (0, 4, "m must be >= 1, got 0"),
-    (-3, 4, "m must be >= 1, got -3"),
+    (0, 4, "m must be >= 8, got 0"),
+    (-3, 4, "m must be >= 8, got -3"),
+    # at m = 2 about one path in 10^6 has Q under the floor
+    (2, 4, "m must be >= 8, got 2"),
+    (7, 4, "m must be >= 8, got 7"),
     (16, 0, "reps must be >= 1, got 0"),
     (16, -2, "reps must be >= 1, got -2"),
 ])
 def test_limit_sample_batch_refuses_bad_sizes(m, reps, problem):
     with pytest.raises(ConfigError, match=problem):
         limit_sample_batch(unit_params(), m, reps, base_seed=0)
+
+
+def test_limit_sample_batch_runs_from_grid_8():
+    draws = limit_sample_batch(unit_params(), 8, 500, base_seed=0)
+    assert draws["fpe_limit_draw"].shape == (500,)
+    assert np.all(np.isfinite(draws["fpe_limit_draw"])) and draws["resampled"] == 0
 
 
 # -------------------------------------------------------------- formula

@@ -13,6 +13,7 @@ from scipy import stats
 
 from urlab import (
     ConfigError,
+    DegeneratePathError,
     ExperimentConfig,
     FilterSpec,
     InnovationSpec,
@@ -116,7 +117,7 @@ CHUNKING_CASES = {
     "laplace-stationary": dict(filter_spec=FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),
                                innovations=InnovationSpec(pi=0.3, family="laplace"),
                                varsigma=0.5, n_grid=(30, 60)),
-    # about a quarter of the rows flagged at every attempt, so redraws are tiled too
+    # uniform innovations: bounded draws, read through _standardized
     "uniform-retries": dict(innovations=InnovationSpec(pi=0.6, family="uniform"),
                             n_grid=(30, 60)),
 }
@@ -125,9 +126,6 @@ CHUNKING_CASES = {
 @pytest.mark.parametrize("tile_rows", [None, 1, 3])
 @pytest.mark.parametrize("case", sorted(CHUNKING_CASES))
 def test_arrays_independent_of_chunking(monkeypatch, case, tile_rows):
-    if case == "uniform-retries":
-        monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
-        monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: u[:, 0] > 0.8)
     cfg = config(reps=130, statistics=("fpe_stat", "excess_ape"), **CHUNKING_CASES[case])
     # one block in one tile
     base = sample_statistics(cfg, cfg.n_grid, workers=1)
@@ -136,8 +134,6 @@ def test_arrays_independent_of_chunking(monkeypatch, case, tile_rows):
     if tile_rows is not None:
         monkeypatch.setattr(streams, "_TILE_VALUES", 2 * _tile_width(cfg) * tile_rows)
     chunked = sample_statistics(cfg, cfg.n_grid, workers=1)
-    if case == "uniform-retries":
-        assert base[30]["resampled"][0] > 0
     for n, cols in base.items():
         assert cols.keys() == chunked[n].keys()
         for key, col in cols.items():
@@ -314,23 +310,6 @@ def test_grid_points_equal_single_point_bits_in_a_pool(monkeypatch):
             assert pooled[n][key].tobytes() == col.tobytes(), (n, key)
 
 
-def test_grid_resamples_each_point_on_its_own(monkeypatch):
-    monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
-    grid = (20, 60, 150)
-
-    def flag(u):  # ~11% of rows each at the two smaller n, disjoint per attempt
-        n = u.shape[1] + 1
-        if n == grid[0]:
-            return u[:, 0] > 1.2
-        return u[:, 0] < -1.2 if n == grid[1] else np.zeros(len(u), dtype=bool)
-
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", flag)
-    cfg = config(reps=300, n_grid=grid, statistics=("excess_ape",))
-    together = _assert_grid_matches_points(cfg)
-    assert together[20]["resampled"][0] > 0 and together[60]["resampled"][0] > 0
-    assert together[150]["resampled"][0] == 0
-
-
 # ------------------------------------------------- engine vs scalar path
 
 def _assert_engine_matches_scalar(filter_spec, innov, varsigma, n, reps):
@@ -474,25 +453,41 @@ def test_mc_se_suppressed_for_tiny_runs():
     assert summaries[0].mc_se is not None
 
 
-# ---------------------------------------------------------- resampling
-
-def test_degenerate_paths_resampled_deterministically(monkeypatch):
-    monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
-    flag = lambda u: u[:, 0] > 1.2  # reject ~11% of first regressors
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", flag)
-    cfg = config(reps=400, n_grid=(40,))
-    a = sample_statistics(cfg, (40,), want_ape=False)[40]
-    b = sample_statistics(cfg, (40,), want_ape=False)[40]
-    assert a["resampled"][0] > 0
-    assert a["resampled"][0] == b["resampled"][0]
-    assert np.array_equal(a["fpe_stat"], b["fpe_stat"])
-
+# ----------------------------------------------------- degenerate paths
 
 def test_unscoreable_model_aborts(monkeypatch):
     # certain aborts are refused at parse, so flag every row as unscoreable
     monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: np.ones(len(u), dtype=bool))
-    with pytest.raises(RuntimeError, match="degenerate-path rate"):
+    with pytest.raises(DegeneratePathError, match="^path 0: every regressor before the final "
+                       "pair is 0 at n=3, so no prediction can be scored$"):
         sample_statistics(config(reps=100, n_grid=(3,)), (3,), want_ape=False)
+
+
+def test_first_degenerate_path_ends_the_run(monkeypatch):
+    # blocks of 17 rows in tiles of 3: the mask runs once per tile, on the
+    # regressors x_1 .. x_19 of the smallest n
+    monkeypatch.setattr(monte_carlo, "_CHUNK", 17)
+    cfg = config(reps=120, n_grid=(20, 60))
+    monkeypatch.setattr(streams, "_TILE_VALUES", 2 * _tile_width(cfg) * 3)
+    widths = []
+
+    def recorded(u):
+        widths.append(u.shape[1])
+        return np.zeros(len(u), dtype=bool)
+
+    monkeypatch.setattr(monte_carlo, "_degenerate_mask", recorded)
+    sample_statistics(cfg, cfg.n_grid, workers=1)
+    assert widths == [19] * (7 * 6 + 1)
+    # flag the rows whose x_1 exceeds 1.2, about 1 in 9: the error names the
+    # lowest flagged replication, whatever the tiles or workers
+    filt = materialize_filter(RANDOM_WALK)
+    first = next(rep for rep in range(cfg.reps) if generate_path(
+        filt, FULL_CORR, 1.0, 20, substream(0, ROLE_PATH, rep)).x[1] > 1.2)
+    assert first > 0
+    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: u[:, 0] > 1.2)
+    for workers in (1, 2):
+        with pytest.raises(DegeneratePathError, match=f"^path {first}: .* at n=20,"):
+            sample_statistics(cfg, cfg.n_grid, workers=workers)
 
 
 @pytest.mark.parametrize(
@@ -507,7 +502,7 @@ def test_certain_abort_refused_at_parse(coeffs, varsigma, n_ok):
     with pytest.raises(ConfigError, match=f"n = {n_ok - 1} can score no prediction"):
         config(filter_spec=spec, varsigma=varsigma, n_grid=(n_ok - 1, 100))
     cols = sample_statistics(config(filter_spec=spec, varsigma=varsigma, n_grid=(n_ok,)), (n_ok,))
-    assert cols[n_ok]["resampled"][0] == 0
+    assert np.all(np.isfinite(cols[n_ok]["fpe_stat"]))
 
 
 # ------------------------------------------------------------- ape_slope

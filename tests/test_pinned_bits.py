@@ -21,7 +21,6 @@ from urlab import (
     limit_sample_batch,
     sample_statistics,
 )
-from urlab import monte_carlo
 
 
 def _columns_digest(by_n: dict) -> str:
@@ -44,7 +43,7 @@ def test_gaussian_unit_root_grid_with_ape():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "599d8e5a6429a30e08c982200942dd699c7b3e254ce9bc30df35360e41bd4391"
+        "a108deda0efa778812cdf8d3b15c3a6c8f2a6474cbe93f4e1c05dcf9117ede64"
     )
 
 
@@ -56,24 +55,7 @@ def test_laplace_stationary():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "49956bf72207b2d6c460c1becfb5a5e176ffcaffce4f2ccbbd73c5a7e0bed16d"
-    )
-
-
-def test_uniform_with_resampled_rows(monkeypatch):
-    # flagged rows are redrawn from attempt 1, 2, ... streams
-    monkeypatch.setattr(monte_carlo, "MAX_FAILURE_RATE", 1.0)
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: u[:, 0] > 0.8)
-    cfg = ExperimentConfig(
-        filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
-        innovations=InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.6, family="uniform"),
-        n_grid=(30, 60), reps=1200, base_seed=5,
-        statistics=("excess_ape",),
-    )
-    columns = sample_statistics(cfg, cfg.n_grid)
-    assert columns[30]["resampled"][0] > 0
-    assert _columns_digest(columns) == (
-        "ea260c5c09f6ee98e38722b2de60db3cb91c4a676256df5c2d154e6dd2ff239a"
+        "3bcdcd0861594b6e9f0f891ec0f6b82b4c88e97331a8c932b7f9b32e1054e5a3"
     )
 
 
@@ -86,7 +68,7 @@ def test_cross_moment_shape_without_ape():
         beta=1.2, n_grid=(2000,), reps=300, base_seed=7,
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid, want_ape=False)) == (
-        "e89fa83598fd528a91497df7190867b96874880315f6e1efa64431c80e80f499"
+        "3886eb86b6cca93e3b3b623bff2d3b09ef79169e3da01a3e918700eefad06ab3"
     )
 
 
@@ -101,7 +83,7 @@ def test_long_stationary_rows():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "e6bbf0b285f4cac75d35dbedba993b47dda7a58972b1c606a25d6be111c7fcb3"
+        "c05c1b9f66cd0cac7683900ed792a0217daeb408228fbc2c97ec63344f78b4b9"
     )
 
 
@@ -109,9 +91,9 @@ def test_long_stationary_rows():
     "m,reps,digest",
     [
         # every eigenpair drawn, so no grid-m tail
-        (64, 600, "e59af38487858ec5c3ed73b9ecb93f878a4e4e4b441c666db02a3ff35356b771"),
+        (64, 600, "7f7dd0ff5ed54d77c16a7736329b92f3855380ee8307e8fd5a61fbdaec3897f8"),
         # 64 of 1023 eigenpairs, tails in closed form
-        (1024, 2500, "42f47ad69b6855fdd7daed1287e26e0deee6a14ae666b16aa823569a79ffa271"),
+        (1024, 2500, "1b4febd8694996dcadce17a5863efb27225c0da202df549ca6ab944f7c17df67"),
     ],
     ids=["64-600", "1024-2500"],
 )

@@ -25,12 +25,12 @@ WORD = 2**32
 BASE_SEEDS = [0, 7, WORD - 1, WORD, WORD + 5, 2**64, 2**64 + 3, 12 * 10**21, 2**130 + 9]
 
 
-def _assert_equal_streams(base_seed, role, indices, attempt):
+def _assert_equal_streams(base_seed, role, indices):
     indices = list(indices)
-    got = substreams(base_seed, role, np.array(indices, dtype=np.int64), attempt)
+    got = substreams(base_seed, role, np.array(indices, dtype=np.int64))
     count = 0
     for index, rng in zip(indices, got):
-        ref = substream(base_seed, role, index, attempt)
+        ref = substream(base_seed, role, index)
         assert rng.bit_generator.state == ref.bit_generator.state, (base_seed, role, index)
         # a buffered 32-bit half must not leak into the next index
         assert rng.integers(0, WORD, 3, dtype=np.uint32).tolist() == ref.integers(
@@ -42,38 +42,43 @@ def _assert_equal_streams(base_seed, role, indices, attempt):
 
 
 @pytest.mark.parametrize("role", [ROLE_PATH, ROLE_BM, ROLE_CONSTANTS])
-@pytest.mark.parametrize("attempt", [0, 1, 3, WORD + 1])
-def test_batch_streams_equal_substream(role, attempt):
+@pytest.mark.parametrize("last", [0, 1, 3, WORD + 1])
+def test_batch_streams_equal_substream(role, last):
+    # the one-word edge indices, then ``last``; 2**32 + 1 needs two words,
+    # so with it the whole block falls back to substream
     for base_seed in BASE_SEEDS:
-        _assert_equal_streams(base_seed, role, [0, 1, 2, 999, 2**31, WORD - 2, WORD - 1], attempt)
+        _assert_equal_streams(base_seed, role, [0, 1, 2, 999, 2**31, WORD - 2, WORD - 1, last])
 
 
 def test_batch_streams_are_independent_generators():
-    gens = list(substreams(7, ROLE_PATH, np.arange(5), 0))
+    gens = list(substreams(7, ROLE_PATH, np.arange(5)))
     for i in reversed(range(5)):
-        ref = substream(7, ROLE_PATH, i, 0)
+        ref = substream(7, ROLE_PATH, i)
         assert gens[i].standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), i
 
 
 def test_seed_words_equal_seed_sequence():
     indices = np.array([0, 5, 2**20, WORD - 1])
     for base_seed in BASE_SEEDS:
-        words = streams._seed_words(base_seed, 2, indices, 3)
+        words = streams._seed_words(base_seed, 2, indices)
         for index, row in zip(indices.tolist(), words):
-            seq = np.random.SeedSequence(base_seed, spawn_key=(2, index, 3))
+            # the key's constant third word 0 keeps every stream's draws
+            seq = np.random.SeedSequence(base_seed, spawn_key=(2, index, 0))
             assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+            ref = np.random.Generator(np.random.PCG64DXSM(seq))
+            assert substream(base_seed, 2, index).bit_generator.state == ref.bit_generator.state
 
 
 def test_blocks_span_several_passes(monkeypatch):
     monkeypatch.setattr(streams, "_BLOCK", 7)
-    _assert_equal_streams(41, ROLE_PATH, range(30), 0)
-    _assert_equal_streams(41, ROLE_PATH, [29, 3, 17, 3], 2)
+    _assert_equal_streams(41, ROLE_PATH, range(30))
+    _assert_equal_streams(41, ROLE_PATH, [29, 3, 17, 3])
 
 
 def test_keys_beyond_one_word_fall_back(monkeypatch):
     monkeypatch.setattr(streams, "_BLOCK", 3)
     # blocks (2**32 - 1, 2**32, 5) and (2**33 + 5, 6) need two-word indices
-    _assert_equal_streams(7, ROLE_PATH, [WORD - 1, WORD, 5, 2**33 + 5, 6, 8], 1)
+    _assert_equal_streams(7, ROLE_PATH, [WORD - 1, WORD, 5, 2**33 + 5, 6, 8])
 
 
 def test_negative_key_fails_as_substream_does():
