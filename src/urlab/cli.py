@@ -36,7 +36,8 @@ key its family does not read, a target out of its range, a check its NEEDS
 entry refuses, or an output directory that cannot be created) or usage
 (--workers < 1),
 3 a path that cannot be scored (DegeneratePathError, raised by the first
-degenerate finite-n or Brownian path; none is redrawn), 4 a worker process
+finite-n path whose first regressor past the unscored lead is 0, or
+Brownian path under its floor; none is redrawn), 4 a worker process
 of the --workers pool died (BrokenProcessPool).
 """
 

@@ -80,8 +80,8 @@ class ReconstructionError(RuntimeError):
 
 
 class DegeneratePathError(RuntimeError):
-    """A simulated path that cannot be scored: a finite-n path with no
-    nonzero regressor before its final pair, or a Brownian path whose time
+    """A simulated path that cannot be scored: a finite-n path whose first
+    regressor past the unscored lead is 0, or a Brownian path whose time
     integral is under the floor.  On a config that passes its checks
     either is a float pathology, so the first one ends the run (exit 3);
     no path is redrawn, and every moment is over all the paths drawn."""

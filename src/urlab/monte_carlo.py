@@ -126,20 +126,18 @@ class ExperimentConfig(Validated):
         return out
 
     def _certain_abort(self, n: int) -> list[str]:
-        """A path at n scores nothing when the filter's leading zero taps
-        keep every regressor before the final pair at exactly 0: x_1 ..
-        x_{n-2} (after any burn-in) see no innovation at all."""
+        """A path at n scores nothing unless its n - 1 pairs pass the
+        unscored lead by two: one pair makes the first estimate, the next
+        is the first one scored."""
         try:
-            coeffs = materialize_filter(self.filter_spec).coeffs
+            lead = _unscored_lead(materialize_filter(self.filter_spec), self.varsigma)
         except ConfigError as exc:
             return exc.problems
-        zeros = int(np.flatnonzero(coeffs)[0])
-        burn = stationary_burn_in(self.varsigma)
-        if burn + n > zeros + 2:
+        if n > lead + 2:
             return []
         return [
-            f"n = {n} can score no prediction: with {zeros} leading zero filter taps, "
-            f"burn-in + n must exceed {zeros + 2}, got {burn + n}"
+            f"n = {n} can score no prediction: the filter's leading zero taps keep "
+            f"x_1 .. x_{lead} at 0 after the burn-in, so n must exceed {lead + 2}"
         ]
 
     def __post_init__(self):
@@ -163,18 +161,12 @@ class McSummary:
     ratio: float | None  # mean over its asymptotic target, when one exists
 
 
-def _degenerate_mask(u: np.ndarray) -> np.ndarray:
-    """Rows on which no prediction can ever be scored.
-
-    A path is usable only if some regressor before the final pair is
-    nonzero; otherwise the estimate either never exists or exists too
-    late to predict anything.  x_1 is nonzero on almost every row, so
-    only the rows where it is 0 read further.
-    """
-    bad = u[:, 0] == 0.0
-    if bad.any():
-        bad[bad] = ~np.any(u[bad, 1:-1] != 0.0, axis=1)
-    return bad
+def _unscored_lead(filt: Filter, varsigma: float) -> int:
+    """The pairs no path can use: with z leading zero taps, eta is 0 for
+    the first z steps, burn-in included, so x_1 .. x_lead are exactly 0
+    on every path, lead = max(0, z - burn-in)."""
+    zeros = int(np.flatnonzero(filt.coeffs)[0])
+    return max(0, zeros - stationary_burn_in(varsigma))
 
 
 def _draws(streams: Iterator[np.random.Generator], family: str, z: np.ndarray) -> np.ndarray:
@@ -295,14 +287,16 @@ def _path_columns(
     filt: Filter,
     varsigma: float,
     burn: int,
+    lead: int,
     grid: tuple[int, ...],
     want_ape: bool,
-) -> tuple[dict[int, dict], np.ndarray]:
-    """({n: base per-path quantities} at every n of ``grid``, degenerate
-    row mask) from standardized draws ``z`` (rows, burn + grid[-1] + 1, 2)
-    of the ``innovations`` law; the quantities are x_n and the estimation
-    error d = beta_hat - beta, plus ape and the scored-eps sse when
-    ``want_ape``.
+    first: int,
+) -> dict[int, dict]:
+    """{n: base per-path quantities} at every n of ``grid`` from
+    standardized draws ``z`` (rows, burn + grid[-1] + 1, 2) of the
+    ``innovations`` law, row 0 being replication ``first``; the
+    quantities are x_n and the estimation error d = beta_hat - beta, plus
+    excess_ape when ``want_ape``.
 
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
     alone.  Every operation acts along axis 1, so row results do not
@@ -310,15 +304,21 @@ def _path_columns(
     sum x eps / sum x^2 and a prediction error is eps - d x: no response
     is formed, and no beta_hat - beta cancels.
 
+    Pairs 1 .. ``lead`` have x = 0 on every path (``_unscored_lead``), so
+    every row scores pairs lead + 2 on, and one whose x_{lead+1}^2 is 0
+    raises DegeneratePathError.  A scored pair adds (eps - t)^2 - eps^2 =
+    t (t - 2 eps), t = d x, to excess_ape: APE less the scored sum of
+    eps^2, both of order n, would cancel.
+
     ``work`` holds the flat draw buffer that ``z`` is the contiguous head
     of, then two flat float planes, each of at least
     ``_padded_values(rows, steps)`` floats and z's rows times steps.  Every
     path-length array is a view of it, four float planes in all, so no
     step allocates one:
 
-    - the om plane takes omega, then the regressors x, then with APE the
-      squared prediction errors;
-    - the eps plane takes epsilon, then with APE its squares;
+    - the om plane takes omega, then the regressors x, then with APE
+      t = d x and each pair's t (t - 2 eps);
+    - the eps plane takes epsilon, then with APE t - 2 eps;
     - the draws, spent once omega and epsilon are out, take the padded
       omega blocks and the filter's products, then the (x^2, x eps) pairs
       as complex numbers, whose sums give each n's sum x^2 and sum x eps.
@@ -333,38 +333,33 @@ def _path_columns(
     n_max = grid[-1]
     u = xs[:, burn : burn + n_max - 1]  # pair regressors x_1 .. x_{n-1}
     cols = {n: {"x_n": xs[:, burn + n - 1].copy()} for n in grid}
-    # a row degenerate at n is degenerate at every smaller n, since its
-    # x_1 .. x_{n-2} contain every shorter prefix: so the mask at grid[0]
-    # holds every row that is degenerate anywhere on the grid
-    bad = _degenerate_mask(u[:, : grid[0] - 1])
     pairs = draws[: 2 * rows * (n_max - 1)].view(complex).reshape(rows, n_max - 1)
     np.multiply(u, u, out=pairs.real)
+    bad = pairs.real[:, lead] == 0.0
+    if bad.any():
+        raise DegeneratePathError(
+            f"path {first + int(np.argmax(bad))}: x_{lead + 1}^2 is 0, so no estimate "
+            f"exists to predict pair {lead + 2}"
+        )
     np.multiply(u, eps[:, burn + 1 : burn + n_max], out=pairs.imag)  # eps_2 .. eps_n
     for n in grid:
         sums = pairs[:, : n - 1].sum(axis=1)
-        cols[n]["d"] = sums.imag / np.where(sums.real > 0.0, sums.real, 1.0)
+        cols[n]["d"] = sums.imag / sums.real
     if want_ape:
-        run = np.cumsum(pairs, axis=1, out=pairs)[:, :-1]  # after pairs 1 .. n-2
-        # sum x^2 never decreases, so the pairs with no estimate yet to
-        # predict the next one are a prefix, empty unless x_1^2 is 0
-        late = [(r, np.searchsorted(run[r].real, 0.0, side="right"))
-                for r in np.flatnonzero(run[:, 0].real == 0.0)]
-        for r, stop in late:
-            run[r, :stop] = 1.0
-        d = np.divide(run.imag, run.real, out=run.imag)  # running d
-        # the prediction errors overwrite x_2 .. x_{n-1}, and eps_3 .. eps_n
-        # their squares
-        err, e2 = u[:, 1:], eps[:, burn + 2 : burn + n_max]
-        np.multiply(d, err, out=err)
-        np.subtract(e2, err, out=err)
-        np.square(err, out=err)
-        np.square(e2, out=e2)
-        for r, stop in late:
-            err[r, :stop] = e2[r, :stop] = 0.0
+        # the running sums after pairs lead + 1 .. n - 2 (the lead adds
+        # exact zeros), whose ratios predict pairs lead + 2 .. n - 1
+        scan = pairs[:, lead:]
+        run = np.cumsum(scan, axis=1, out=scan)[:, :-1]
+        d = np.divide(run.imag, run.real, out=run.imag)
+        # t overwrites x_{lead+2} .. x_{n-1}, and t - 2 eps eps_{lead+3} .. eps_n
+        t = np.multiply(d, u[:, lead + 1 :], out=u[:, lead + 1 :])
+        e = eps[:, burn + lead + 2 : burn + n_max]
+        e *= -2.0
+        e += t
+        t *= e
         for n in grid:
-            cols[n]["sse"] = e2[:, : n - 2].sum(axis=1)
-            cols[n]["ape"] = err[:, : n - 2].sum(axis=1)
-    return cols, bad
+            cols[n]["excess_ape"] = t[:, : n - 2 - lead].sum(axis=1)
+    return cols
 
 
 def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]:
@@ -378,9 +373,8 @@ def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]
     cols["fpe_stat"] = cols["x_n_sq_over_n"] * cols["norm_est_sq"]
     cols["x_n_sq"] = x_n**2
     cols["n_est_sq"] = n * d**2
-    if "ape" in base:
-        cols["ape"] = base["ape"]
-        cols["excess_ape"] = base["ape"] - base["sse"]
+    if "excess_ape" in base:
+        cols["excess_ape"] = base["excess_ape"]
     return cols
 
 
@@ -389,9 +383,11 @@ def _block_worker(
     tile: int, block: range,
 ) -> dict:
     """{n: base columns} of the replications in ``block``, drawn and scored
-    ``tile`` rows at a time; the first degenerate path raises
-    DegeneratePathError."""
+    ``tile`` rows at a time past the config's unscored lead (see
+    ``_unscored_lead``); the first path whose regressor x_{lead+1} is 0
+    raises DegeneratePathError."""
     burn = stationary_burn_in(config.varsigma)
+    lead = _unscored_lead(filt, config.varsigma)
     # draws fill in sequence and the filter's blocks and carries are
     # causal, so a path at n is a prefix of the path at n_max
     width = burn + grid[-1] + 1
@@ -403,15 +399,11 @@ def _block_worker(
     for lo in range(0, len(block), tile):
         rows = min(tile, len(block) - lo)
         z = draws[: 2 * rows * width].reshape(rows, width, 2)
-        scored, bad = _path_columns(
+        scored = _path_columns(
             _draws(streams, config.innovations.family, z), (draws, planes),
-            config.innovations, filt, config.varsigma, burn, grid, want_ape,
+            config.innovations, filt, config.varsigma, burn, lead, grid, want_ape,
+            block.start + lo,
         )
-        if bad.any():
-            raise DegeneratePathError(
-                f"path {block.start + lo + int(np.argmax(bad))}: every regressor before "
-                f"the final pair is 0 at n={grid[0]}, so no prediction can be scored"
-            )
         for n, cols in scored.items():
             if n not in out:
                 out[n] = {name: np.empty(len(block)) for name in cols}
@@ -443,9 +435,9 @@ def sample_statistics(
     whatever the worker count or tile size: streams are keyed by
     replication index, and the filter's BLAS products have one shape (see
     ``_filtered_rows``).  With or without ``want_ape``, every column
-    returned has the same bits.  No path is redrawn: a path degenerate at
-    the smallest n raises DegeneratePathError, naming the lowest such
-    replication index whatever the worker count.
+    returned has the same bits.  No path is redrawn: a path whose x_{lead+1}
+    is 0 (see ``_path_columns``) raises DegeneratePathError, naming the
+    lowest such replication index whatever the worker count or tile size.
     """
     grid = tuple(sorted(set(grid)))
     if want_ape is None:

@@ -489,8 +489,8 @@ def test_all_writes_the_same_artifacts_in_a_pool(tmp_path, monkeypatch):
 SPLIT_RUN_ARTIFACTS = {
     "fpe_summary.csv": "40b4f3a7401a3ca76497064e67f7a5eb9ec8b08c6b17f76260abc6b13e55b895",
     "fpe_summary.json": "ade2af18e67a9208aa579d1add9f3feb16a58e1a1c8871b8a6563500339b8747",
-    "ape_curve.csv": "9a52c06096ceb76485462da016560356785906406d27a437823502d0b45e85a6",
-    "ape_curve.json": "b19dbd7f834054ee479a52d66e9503406966ad607cb8680a8bfb17ec543332df",
+    "ape_curve.csv": "7c936b5ffb1073a30c933613be03ee85a1c7614344df14e2a558662a8787ba8c",
+    "ape_curve.json": "675f39ec95463089bd4ec30dbfa691ceb815a0b372c46ba9dc4ef669965cab5d",
     "mse_summary.csv": "ab1532615e2f232867800ef41495fbd2c1213d54c111454341abcfb3fb66ecf8",
     "mse_summary.json": "a9576334dfc892234ba6e581b2723d5d6f0c4c84c3405a31fc55783bc1c32bb9",
     "constants.json": "2949403ef4ed7cae8bf7ece4db068f6c80f00f1c2b30832da81921fe4c527fb6",
@@ -568,20 +568,27 @@ def test_run_pool_defaults_to_the_usable_cores(
     assert json.loads((out / "manifest.json").read_text())["workers"] == cores
 
 
+def _flat_draws(streams, family, z, draws=monte_carlo._draws):
+    """The engine's draws with omega = 0 on every row: x is 0 throughout."""
+    z = draws(streams, family, z)
+    z[..., 0] = 0.0
+    return z
+
+
 @pytest.mark.parametrize(
     "subcommand,module,name,value,message",
     [
         ("constants", brownian, "_TIME_INTEGRAL_FLOOR", math.inf,
          r"path 0: time integral [0-9.e+-]+ below inf"),
-        ("fpe", monte_carlo, "_degenerate_mask", lambda u: u[:, 0] == u[:, 0],
-         r"path 0: every regressor before the final pair is 0 at n=50, "
-         r"so no prediction can be scored"),
+        ("fpe", monte_carlo, "_draws", _flat_draws,
+         r"path 0: x_1\^2 is 0, so no estimate exists to predict pair 2"),
     ],
     ids=["resample", "degenerate-rate"],
 )
 def test_worker_errors_exit_3(tmp_path, capsys, monkeypatch, subcommand, module, name,
                               value, message):
-    # one case per engine: the Brownian sampler's floor, the finite-n mask
+    # one case per engine: the Brownian sampler's floor, finite-n paths
+    # drawn with omega = 0
     _split_every_stage(monkeypatch)
     monkeypatch.setattr(module, name, value)
     ini = tmp_path / "run.ini"
@@ -736,13 +743,13 @@ DEGENERATE = (
 
 
 def test_unscoreable_model_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
-    # certain aborts are refused at parse, so flag every row as unscoreable
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: np.ones(len(u), dtype=bool))
+    # certain aborts are refused at parse, so draw omega = 0 on every row
+    monkeypatch.setattr(monte_carlo, "_draws", _flat_draws)
     ini = tmp_path / "degenerate.ini"
     ini.write_text(FAST_RUN)
     assert main(["fpe", str(ini), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: path 0: every regressor before the final pair is 0 at n=200")
+    assert err.startswith("error: path 0: x_1^2 is 0, so no estimate exists to predict pair 2")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

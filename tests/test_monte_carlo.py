@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import inspect
 import math
 import os
@@ -35,6 +36,9 @@ from urlab.streams import ROLE_PATH, substream
 RANDOM_WALK = FilterSpec(family="finite", coeffs=(1.0,))
 FULL_CORR = InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=1.0)
 README_FILTER = FilterSpec(family="geometric", a=1.0, r=0.5)  # 27 taps
+# 12 leading zero taps against varsigma 0's burn-in of 10: x_1 and x_2 are
+# 0 on every path, so pair 3 makes the first estimate and pair 4 is scored
+LEAD_FILTER = FilterSpec(family="finite", coeffs=(0.0,) * 12 + (1.0, 0.3))
 
 
 def config(**kw) -> ExperimentConfig:
@@ -120,6 +124,7 @@ CHUNKING_CASES = {
     # uniform innovations: bounded draws, read through _standardized
     "uniform-retries": dict(innovations=InnovationSpec(pi=0.6, family="uniform"),
                             n_grid=(30, 60)),
+    "stationary-lead": dict(filter_spec=LEAD_FILTER, varsigma=0.0, n_grid=(5, 30, 60)),
 }
 
 
@@ -204,20 +209,6 @@ def test_brownian_first_call_allocates_about_a_tile_not_a_batch(sampler):
     assert _first_call_peak(BROWNIAN_FIRST_CALLS[sampler]) < 8 * 2**20
 
 
-@pytest.mark.parametrize("width", [2, 3, 6])
-def test_degenerate_mask_matches_its_definition(width):
-    # a row is degenerate when every regressor before the final pair is 0
-    u = np.random.default_rng(width).standard_normal((8, width))
-    u[1] = 0.0
-    u[2, :-1] = 0.0
-    u[3, 0] = 0.0
-    u[4, : width - 2] = -0.0
-    u[5, 0] = np.nan
-    want = ~np.any(u[:, :-1] != 0.0, axis=1)
-    assert want[1] and want[2] and not want[0]
-    assert np.array_equal(monte_carlo._degenerate_mask(u), want)
-
-
 def test_arrays_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(monte_carlo, "_CHUNK", 40)
     cfg = config(reps=120, n_grid=(50,))
@@ -265,6 +256,7 @@ GRID_CASES = [
      InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.0, family="laplace"), 1.0),
     (RANDOM_WALK,
      InnovationSpec(sigma_omega_sq=1.0, sigma_sq=1.0, pi=0.3, family="uniform"), 0.5),
+    (LEAD_FILTER, InnovationSpec(sigma_omega_sq=1.5, sigma_sq=1.0, pi=-0.6), 0.0),
 ]
 
 
@@ -323,7 +315,7 @@ def _assert_engine_matches_scalar(filter_spec, innov, varsigma, n, reps):
         rng = substream(77, ROLE_PATH, rep)
         traj = generate_path(filt, innov, 0.8, n, rng, varsigma=varsigma)
         ref = dataclasses.asdict(run_path(traj))
-        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "ape", "excess_ape"):
+        for key in ("fpe_stat", "norm_est_sq", "x_n_sq_over_n", "excess_ape"):
             assert arrays[key][rep] == pytest.approx(ref[key], rel=1e-10, abs=1e-12), (rep, key)
 
 
@@ -358,6 +350,39 @@ def test_engine_matches_scalar_reference(filter_spec, innov, varsigma):
 def test_engine_matches_scalar_reference_on_more_shapes(filter_spec, n, reps):
     innov = InnovationSpec(sigma_omega_sq=2.0, sigma_sq=1.0, pi=0.5)
     _assert_engine_matches_scalar(filter_spec, innov, 1.0, n, reps)
+
+
+def _excess_ape_to_50_digits(traj) -> float:
+    """Sum of t (t - 2 eps_{i+1}), t = d x_i, over the scored pairs i of a
+    scalar path, d being the estimate before pair i, in 50-digit decimals."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        x = [decimal.Decimal(float(v)) for v in traj.x]
+        eps = [decimal.Decimal(float(v)) for v in traj.epsilon]
+        s_xx = s_xe = total = decimal.Decimal(0)
+        for i in range(1, traj.n):
+            if s_xx > 0:
+                t = s_xe / s_xx * x[i]
+                total += t * (t - 2 * eps[i - 1])
+            s_xx += x[i] * x[i]
+            s_xe += x[i] * eps[i - 1]
+        return float(total)
+
+
+def test_excess_ape_is_accurate_to_rounding():
+    # the README config: each path's excess APE, of order log n, to within
+    # a few rounding errors of its own size; ape - sse, two sums of order
+    # n, was off by up to 2.4e-14 relative here
+    n, reps = 2000, 10
+    innov = InnovationSpec(pi=0.5)
+    cfg = config(filter_spec=README_FILTER, innovations=innov, n_grid=(n,), reps=reps,
+                 base_seed=7, statistics=("excess_ape",))
+    got = sample_statistics(cfg, (n,))[n]["excess_ape"]
+    filt = materialize_filter(README_FILTER)
+    want = np.array([
+        _excess_ape_to_50_digits(generate_path(filt, innov, 1.0, n, substream(7, ROLE_PATH, rep)))
+        for rep in range(reps)
+    ])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 4e-15
 
 
 @pytest.mark.parametrize(
@@ -455,39 +480,53 @@ def test_mc_se_suppressed_for_tiny_runs():
 
 # ----------------------------------------------------- degenerate paths
 
+def _zero_omega(monkeypatch, pick, steps=slice(None)):
+    """Make the engine draw omega = 0 at ``steps`` of the rows ``pick``
+    selects from their draws, so that its own degenerate test fires."""
+    draws = monte_carlo._draws
+
+    def zeroed(streams, family, z):
+        z = draws(streams, family, z)
+        z[pick(z), steps, 0] = 0.0
+        return z
+
+    monkeypatch.setattr(monte_carlo, "_draws", zeroed)
+
+
 def test_unscoreable_model_aborts(monkeypatch):
-    # certain aborts are refused at parse, so flag every row as unscoreable
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: np.ones(len(u), dtype=bool))
-    with pytest.raises(DegeneratePathError, match="^path 0: every regressor before the final "
-                       "pair is 0 at n=3, so no prediction can be scored$"):
+    # certain aborts are refused at parse, so draw omega = 0 on every row
+    _zero_omega(monkeypatch, lambda z: slice(None))
+    with pytest.raises(DegeneratePathError, match="^path 0: x_1\\^2 is 0, so no estimate "
+                       "exists to predict pair 2$"):
         sample_statistics(config(reps=100, n_grid=(3,)), (3,), want_ape=False)
 
 
 def test_first_degenerate_path_ends_the_run(monkeypatch):
-    # blocks of 17 rows in tiles of 3: the mask runs once per tile, on the
-    # regressors x_1 .. x_19 of the smallest n
+    # blocks of 17 rows in tiles of 3; omega = 0 on the rows whose first
+    # omega exceeds 1.2, about 1 in 9: the error names the lowest such
+    # replication, whatever the tiles or workers
     monkeypatch.setattr(monte_carlo, "_CHUNK", 17)
     cfg = config(reps=120, n_grid=(20, 60))
     monkeypatch.setattr(streams, "_TILE_VALUES", 2 * _tile_width(cfg) * 3)
-    widths = []
-
-    def recorded(u):
-        widths.append(u.shape[1])
-        return np.zeros(len(u), dtype=bool)
-
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", recorded)
-    sample_statistics(cfg, cfg.n_grid, workers=1)
-    assert widths == [19] * (7 * 6 + 1)
-    # flag the rows whose x_1 exceeds 1.2, about 1 in 9: the error names the
-    # lowest flagged replication, whatever the tiles or workers
     filt = materialize_filter(RANDOM_WALK)
     first = next(rep for rep in range(cfg.reps) if generate_path(
         filt, FULL_CORR, 1.0, 20, substream(0, ROLE_PATH, rep)).x[1] > 1.2)
     assert first > 0
-    monkeypatch.setattr(monte_carlo, "_degenerate_mask", lambda u: u[:, 0] > 1.2)
+    _zero_omega(monkeypatch, lambda z: z[:, 0, 0] > 1.2)
     for workers in (1, 2):
-        with pytest.raises(DegeneratePathError, match=f"^path {first}: .* at n=20,"):
+        with pytest.raises(DegeneratePathError, match=f"^path {first}: x_1\\^2 is 0,"):
             sample_statistics(cfg, cfg.n_grid, workers=workers)
+
+
+def test_path_with_x_1_zero_ends_the_run(monkeypatch):
+    # omega_1 = 0 on replication 5 alone, so its x_1 is 0 and its x_2 is
+    # not: the first estimate would come one pair late, on this row only
+    cfg = config(reps=40, n_grid=(10, 50), statistics=("excess_ape",))
+    omega_1 = generate_path(materialize_filter(RANDOM_WALK), FULL_CORR, 1.0, 10,
+                            substream(0, ROLE_PATH, 5)).omega[0]
+    _zero_omega(monkeypatch, lambda z: z[:, 0, 0] == omega_1, steps=0)
+    with pytest.raises(DegeneratePathError, match="^path 5: x_1\\^2 is 0,"):
+        sample_statistics(cfg, cfg.n_grid, workers=1)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def test_gaussian_unit_root_grid_with_ape():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "a108deda0efa778812cdf8d3b15c3a6c8f2a6474cbe93f4e1c05dcf9117ede64"
+        "ade31146427b2efe8f2f50f2b0091b967bb030e50a77fff88f1f7df683e2621a"
     )
 
 
@@ -55,7 +55,7 @@ def test_laplace_stationary():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "3bcdcd0861594b6e9f0f891ec0f6b82b4c88e97331a8c932b7f9b32e1054e5a3"
+        "157de90ec1babc02eaf336b1f1edc8024afa738589d08a5cd7376db7e5a55e93"
     )
 
 
@@ -83,7 +83,7 @@ def test_long_stationary_rows():
         statistics=("fpe_stat", "excess_ape"),
     )
     assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
-        "c05c1b9f66cd0cac7683900ed792a0217daeb408228fbc2c97ec63344f78b4b9"
+        "0d8e82aeb94c84a65f88901f7c4b94fe71bcd6a1926eed1cae9ceadff75ae2bb"
     )
 
 
