@@ -172,11 +172,17 @@ def _unscored_lead(filt: Filter, varsigma: float) -> int:
 def _draws(streams: Iterator[np.random.Generator], family: str, z: np.ndarray) -> np.ndarray:
     """Fill each row of ``z`` (rows, steps, 2) with standardized draws of
     ``family`` from the next generator of ``streams``, one keyed stream
-    per replication; a Gaussian row is drawn into place."""
-    for row, rng in zip(z, streams):
-        if family == "gaussian":
+    per replication; a Gaussian row is drawn into place.
+
+    ``streams.substreams`` re-seeds one generator in place per key, so each
+    row is drawn in full before the next generator is taken, and ``zip``
+    takes none past the last row.
+    """
+    if family == "gaussian":
+        for row, rng in zip(z, streams):
             rng.standard_normal(out=row)
-        else:
+    else:
+        for row, rng in zip(z, streams):
             row[...] = _standardized(rng, family, row.shape)
     return z
 
@@ -362,20 +368,26 @@ def _path_columns(
     return cols
 
 
-def _published_columns(base: dict, beta: float, n: int) -> dict[str, np.ndarray]:
-    """The per-path statistics ``sample_statistics`` returns, derived
-    elementwise from the base quantities of ``_path_columns``."""
-    x_n = base["x_n"]
-    d = base["d"]
-    cols = {"beta_hat_final": beta + d}
-    cols["norm_est_sq"] = (n * d) ** 2
-    cols["x_n_sq_over_n"] = x_n**2 / n
-    cols["fpe_stat"] = cols["x_n_sq_over_n"] * cols["norm_est_sq"]
-    cols["x_n_sq"] = x_n**2
-    cols["n_est_sq"] = n * d**2
+def _published_columns(
+    base: dict, beta: float, n: int, names: tuple[str, ...] | None = None
+) -> dict[str, np.ndarray]:
+    """The per-path statistics ``sample_statistics`` returns, or only those
+    of ``names``, derived elementwise from the base quantities of
+    ``_path_columns``; a column has the same bits whichever others are
+    derived."""
+    x_n, d = base["x_n"], base["d"]
+    formulas = {
+        "beta_hat_final": lambda: beta + d,
+        "norm_est_sq": lambda: (n * d) ** 2,
+        "x_n_sq_over_n": lambda: x_n**2 / n,
+        # x_n_sq_over_n times norm_est_sq, by the same operations
+        "fpe_stat": lambda: x_n**2 / n * (n * d) ** 2,
+        "x_n_sq": lambda: x_n**2,
+        "n_est_sq": lambda: n * d**2,
+    }
     if "excess_ape" in base:
-        cols["excess_ape"] = base["excess_ape"]
-    return cols
+        formulas["excess_ape"] = lambda: base["excess_ape"]
+    return {name: formulas[name]() for name in (formulas if names is None else names)}
 
 
 def _block_worker(
@@ -417,10 +429,12 @@ def sample_statistics(
     grid: tuple[int, ...],
     want_ape: bool | None = None,
     workers: int | Executor | None = None,
+    columns: tuple[str, ...] | None = None,
 ) -> dict[int, dict[str, np.ndarray]]:
     """{n: per-path statistic columns over all replications} for each n of
     ``grid``, from one pass: each replication is drawn, filtered and
     integrated once at the largest n, and smaller n score its prefixes.
+    ``columns`` names the columns to derive (None: every one).
 
     The work units are blocks of consecutive replications, at most
     ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
@@ -453,7 +467,7 @@ def sample_statistics(
     return {
         n: _published_columns(
             {name: np.concatenate([r[n][name] for r in results]) for name in results[0][n]},
-            config.beta, n,
+            config.beta, n, columns,
         )
         for n in grid
     }
@@ -580,12 +594,13 @@ def cross_moment_from(columns: dict, n: int) -> dict:
     }
 
 
-def _at_n_max(config: ExperimentConfig, check: str, contrast_from, workers) -> dict:
-    """``contrast_from`` of the columns at the largest n, gated as ``check``."""
+def _at_n_max(config: ExperimentConfig, check: str, contrast_from, reads, workers) -> dict:
+    """``contrast_from`` of the columns at the largest n, gated as ``check``;
+    only the columns named in ``reads`` are derived."""
     require(config, check)
     n = config.n_grid[-1]
-    columns = sample_statistics(config, (n,), want_ape=False, workers=workers)[n]
-    return contrast_from(columns, n)
+    columns = sample_statistics(config, (n,), want_ape=False, workers=workers, columns=reads)
+    return contrast_from(columns[n], n)
 
 
 def cross_moment(config: ExperimentConfig, workers: int | Executor | None = None) -> dict:
@@ -596,7 +611,9 @@ def cross_moment(config: ExperimentConfig, workers: int | Executor | None = None
     per-path fpe_stat by construction; the marginal product estimates the
     limit of the decoupled moments.
     """
-    return _at_n_max(config, "cross-moment", cross_moment_from, workers)
+    return _at_n_max(
+        config, "cross-moment", cross_moment_from, ("x_n_sq_over_n", "norm_est_sq"), workers
+    )
 
 
 def stationary_comparison_from(columns: dict, n: int) -> dict:
@@ -621,7 +638,9 @@ def stationary_comparison(config: ExperimentConfig, workers: int | Executor | No
     Both tend to sigma^2 and decouple in the limit, the contrast with the
     unit-root cross moment.
     """
-    return _at_n_max(config, "stationary", stationary_comparison_from, workers)
+    return _at_n_max(
+        config, "stationary", stationary_comparison_from, ("x_n_sq", "n_est_sq"), workers
+    )
 
 
 def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,12 +9,19 @@ is ever redrawn, so a key has exactly one stream.
 
 ``substream`` is the definition of a key's stream.  ``substreams`` is
 the batch path for a block of indices, bit for bit equal to
-``substream`` on each key.  It restates only the part of SeedSequence's
-hashing (pool of 4 uint32 words) that numpy cannot run over an array of
-indices: numpy hashes base_seed and role into the pool, ``_seed_words``
-mixes in the index word and the 0 word and hashes the output in uint32
-arrays over up to ``_BLOCK`` indices at a time, and numpy seeds a fresh
-PCG64DXSM from each key's words.  A block with an index outside [0,
+``substream`` on each key.  It restates the two steps numpy cannot run
+over an array of indices.  numpy hashes base_seed and role into
+SeedSequence's pool (4 uint32 words); ``_seed_words`` mixes in the index
+word and the 0 word and hashes the output in uint32 arrays over up to
+``_BLOCK`` indices at a time.  ``_seeded_states`` then takes the one
+128-bit LCG step of numpy's ``pcg64_set_seed`` over those words in uint64
+limbs.  So ``substreams`` yields one generator per call and writes each
+key's state into it in place, through numpy's public ctypes interface,
+before yielding it again: a yielded generator is valid until the next
+one is yielded.  numpy seeds the first key itself, and the memory it
+leaves must equal ``_seeded_states``' row; on a build where it does not
+(a different struct layout, or emulated 128-bit math), the call yields a
+generator of its own per key instead.  A block with an index outside [0,
 2**32), which SeedSequence splits into more than one word, or a negative
 key part, falls back to ``substream``.
 
@@ -33,6 +40,7 @@ block sizes ``monte_carlo._CHUNK`` and ``_ROW_VALUES`` change no bit.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from collections.abc import Iterator
@@ -133,18 +141,88 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+# PCG's 128-bit LCG multiplier, as (high, low) uint64 words, and the
+# uint32 halves of the low word (numpy/random/src/pcg64/pcg64.h)
+_PCG_MUL_HI, _PCG_MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_MUL_LO_HALVES = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_U32, _U63, _U1 = np.uint64(32), np.uint64(63), np.uint64(1)
+_LOW32 = np.uint64(_MASK32)
+
+
+def _add128(a_lo, a_hi, b_lo, b_hi, out_lo=None, out_hi=None):
+    """(a + b) mod 2**128 over uint64 (low, high) word arrays."""
+    # the carry out of the low words is the top bit of floor((a_lo + b_lo) / 2)
+    carry = ((a_lo >> _U1) + (b_lo >> _U1) + (a_lo & b_lo & _U1)) >> _U63
+    lo = np.add(a_lo, b_lo, out=out_lo)
+    hi = np.add(a_hi + b_hi, carry, out=out_hi)
+    return lo, hi
+
+
+def _mul128(lo, hi):
+    """(lo, hi) times PCG's multiplier, mod 2**128, over uint64 word
+    arrays.  The high word of lo times the multiplier's low word is summed
+    from the products of uint32 halves."""
+    m0, m1 = _PCG_MUL_LO_HALVES
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p01, p10 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    mulhi = a1 * m1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return lo * _PCG_MUL_LO, mulhi + lo * _PCG_MUL_HI + hi * _PCG_MUL_LO
+
+
+def _seeded_states(words: np.ndarray) -> np.ndarray:
+    """(k, 6) uint64: for each row (init high, init low, seq high, seq low)
+    of ``_seed_words``, what numpy's ``pcg64_set_seed`` leaves in the 48
+    bytes from a PCG64DXSM's ``ctypes.state_address + 8`` on a build with
+    ``__uint128_t``: the buffered 32-bit half's flag and value (0), 8 pad
+    bytes (0), then state and inc, each as (low, high) words.
+
+    inc = 2 seq + 1 and state = (inc + init) mul + inc, mod 2**128 (O'Neill
+    2014, *PCG*, ``pcg_setseq_128_srandom_r``).
+    """
+    init_hi, init_lo, seq_hi, seq_lo = words.T
+    out = np.zeros((len(words), 6), dtype=np.uint64)
+    inc_lo, inc_hi = out[:, 4], out[:, 5]
+    np.bitwise_or(seq_lo << _U1, _U1, out=inc_lo)
+    np.bitwise_or(seq_hi << _U1, seq_lo >> _U63, out=inc_hi)
+    lo, hi = _mul128(*_add128(inc_lo, inc_hi, init_lo, init_hi))
+    _add128(lo, hi, inc_lo, inc_hi, out_lo=out[:, 2], out_hi=out[:, 3])
+    return out
+
+
 def substreams(base_seed: int, role: int, indices: np.ndarray) -> Iterator[Generator]:
     """The generators ``substream(base_seed, role, i)`` for each i of
-    ``indices``, in order and bit for bit, each a generator of its own."""
+    ``indices``, in order and bit for bit.
+
+    One generator is yielded again and again, re-seeded in place before
+    each key, so a yielded generator is valid only until the next one is
+    yielded: draw each key's values before advancing.  numpy seeds the
+    call's first key itself, and if its state memory differs from
+    ``_seeded_states``' row, the call yields a generator of its own per
+    key, as numpy seeds it.
+    """
     indices = np.asarray(indices, dtype=np.int64)
+    state = None  # the shared generator's state memory, once checked
     for start in range(0, len(indices), _BLOCK):
         block = indices[start : start + _BLOCK]
         if min(base_seed, role, block.min()) < 0 or block.max() > _MASK32:
             for index in block.tolist():
                 yield substream(base_seed, role, index)
             continue
-        for words in _seed_words(base_seed, role, block):
-            yield Generator(PCG64DXSM(_SeedWords(words)))
+        words = _seed_words(base_seed, role, block)
+        seeded = _seeded_states(words)
+        if state is None:
+            rng = Generator(PCG64DXSM(_SeedWords(words[0])))
+            address = rng.bit_generator.ctypes.state_address + 8
+            state = np.frombuffer((ctypes.c_uint64 * 6).from_address(address), np.uint64)
+            in_place = state.tobytes() == seeded[0].tobytes()
+        if not in_place:
+            for key_words in words:
+                yield Generator(PCG64DXSM(_SeedWords(key_words)))
+            continue
+        for row in seeded:
+            state[...] = row
+            yield rng
 
 
 def usable_cores() -> int:

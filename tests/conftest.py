@@ -45,6 +45,37 @@ def counting_pool(monkeypatch):
     return opened, mapped
 
 
+@pytest.fixture
+def generators_built(monkeypatch):
+    """Counts the PCG64DXSMs that ``urlab.streams`` builds; returns a
+    one-item list holding the count so far."""
+    built = [0]
+    pcg = streams.PCG64DXSM
+
+    def counted(seed):
+        built[0] += 1
+        return pcg(seed)
+
+    monkeypatch.setattr(streams, "PCG64DXSM", counted)
+    return built
+
+
+@pytest.fixture
+def misplaced_layout(monkeypatch):
+    """Makes the state that ``streams._seeded_states`` computes for each
+    block's first key differ from the memory numpy seeds, as on a build
+    whose state layout differs, so ``substreams`` falls back to a
+    generator per key."""
+    seeded = streams._seeded_states
+
+    def misplaced(words):
+        states = seeded(words)
+        states[0, 2] ^= 1
+        return states
+
+    monkeypatch.setattr(streams, "_seeded_states", misplaced)
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _ACCEPTANCE_LINES:
         return

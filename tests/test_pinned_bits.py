@@ -47,6 +47,12 @@ def test_gaussian_unit_root_grid_with_ape():
     )
 
 
+def test_gaussian_grid_keeps_its_digest_on_the_fallback_path(misplaced_layout, generators_built):
+    # numpy seeds every key's generator itself
+    test_gaussian_unit_root_grid_with_ape()
+    assert generators_built[0] > 2500
+
+
 def test_laplace_stationary():
     cfg = ExperimentConfig(
         filter_spec=FilterSpec(family="finite", coeffs=(1.0, -0.4, 0.1)),

@@ -1,3 +1,4 @@
+import ctypes
 import importlib
 import os
 import pkgutil
@@ -5,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import urlab
 from urlab import (
@@ -50,11 +52,74 @@ def test_batch_streams_equal_substream(role, last):
         _assert_equal_streams(base_seed, role, [0, 1, 2, 999, 2**31, WORD - 2, WORD - 1, last])
 
 
-def test_batch_streams_are_independent_generators():
+def test_batch_streams_reseed_one_generator_in_place(generators_built):
+    # one generator per call, re-seeded before each key: what is drawn
+    # from it before the next key is substream's
+    yielded = []
+    for index, rng in enumerate(substreams(7, ROLE_PATH, np.arange(5))):
+        yielded.append(rng)
+        ref = substream(7, ROLE_PATH, index)
+        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), index
+    assert len(yielded) == 5 and all(rng is yielded[0] for rng in yielded)
+    assert generators_built[0] == 1 + 5  # the layout check's, then the references
+
+
+def test_a_state_layout_mismatch_falls_back_to_a_generator_per_key(
+    monkeypatch, misplaced_layout, generators_built
+):
     gens = list(substreams(7, ROLE_PATH, np.arange(5)))
-    for i in reversed(range(5)):
-        ref = substream(7, ROLE_PATH, i)
-        assert gens[i].standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), i
+    assert len({id(rng) for rng in gens}) == 5
+    assert generators_built[0] == 1 + 5
+    monkeypatch.setattr(streams, "_BLOCK", 7)
+    for base_seed in (0, 41, WORD + 5):
+        _assert_equal_streams(base_seed, ROLE_PATH, range(30))
+    _assert_equal_streams(7, ROLE_PATH, [WORD - 1, WORD, 5, 2**33 + 5, 6, 8])
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_EDGES = st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+
+
+@given(st.lists(st.one_of(_U64, _EDGES), min_size=4, max_size=4))
+@example([2**64 - 1] * 4)  # every limb sum and product carries
+@example([0, 0, 0, 2**63])  # seq's low top bit shifts into inc's high word
+@example([2**64 - 1, 2**64 - 1, 0, 2**63 + 1])
+@example([0, 2**64 - 1, 0, 0])  # inc's and init's low words sum to 2**64
+def test_seeded_states_equal_numpy_seeding(words):
+    words = np.array(words, dtype=np.uint64)
+    bit_generator = np.random.PCG64DXSM(streams._SeedWords(words))
+    state = bit_generator.state["state"]
+    expect = [state["state"] % 2**64, state["state"] >> 64, state["inc"] % 2**64, state["inc"] >> 64]
+    got = streams._seeded_states(words[None])
+    assert got[0, 2:].tolist() == expect
+    address = bit_generator.ctypes.state_address + 8
+    memory = np.ctypeslib.as_array((ctypes.c_uint64 * 6).from_address(address))
+    assert got[0].tolist() == memory.tolist()
+
+
+def test_replications_build_no_generator_of_their_own(monkeypatch, generators_built):
+    # 5000 reps of n = 50 in two work units: one generator per substreams
+    # call, the layout check's, and none per replication
+    cfg = ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
+        innovations=InnovationSpec(pi=1.0),
+        varsigma=0.5,
+        n_grid=(50,),
+        reps=5000,
+        base_seed=0,
+        statistics=("fpe_stat",),
+    )
+    calls = [0]
+    seeded = monte_carlo.substreams
+
+    def counted(*args):
+        calls[0] += 1
+        return seeded(*args)
+
+    monkeypatch.setattr(monte_carlo, "substreams", counted)
+    sample_statistics(cfg, cfg.n_grid, workers=1)
+    assert calls[0] == 2
+    assert generators_built[0] <= calls[0]
 
 
 def test_seed_words_equal_seed_sequence():
