@@ -228,9 +228,7 @@ def _sampled(m, extra, reps, base_seed, role, score, workers) -> np.ndarray:
     # half a tile of draws: as fast as a whole one, and half the memory
     work = partial(_batch, terms, draws, rows, tile_rows(rows, 2 * width), reps, base_seed,
                    role, score)
-    # an open pool takes even one batch, keeping the paths out of a run's process
-    mapped = workers.map if hasattr(workers, "map") else partial(map_units, workers=workers)
-    return np.concatenate(list(mapped(work, range(-(-reps // rows)))), axis=1)
+    return np.concatenate(map_units(work, range(-(-reps // rows)), workers), axis=1)
 
 
 def _limit_score(p: LimitParams, m: int, w: np.ndarray, chi_sq, g, z_m, u):

@@ -6,11 +6,12 @@ holding pass/fail thresholds.  Each section's keys are the fields of one
 dataclass (_FORMAT), typed and defaulted by them.  Thresholds default to
 the canonical two-digit constants' own rounding plus a 4x MC-SE band, so
 a bare config is already an acceptance run.  [experiment] statistics is
-read only by monte_carlo.run (and sample_statistics without want_ape);
-the subcommands ignore it, since dispatch draws APE exactly when
-ape-curve runs.
+read only by monte_carlo.run (and sample_statistics without columns=);
+the subcommands ignore it.
 
-Each finite-n check's needs are declared once, in monte_carlo.NEEDS:
+Each finite-n check's needs are declared once, in monte_carlo.NEEDS: the
+columns it reads, at every grid n or n_max alone, and its gates.  APE is
+drawn when excess_ape is asked for, so only when ape-curve runs.
 stationary needs |varsigma| < 1 and the others varsigma = 1 (the limits
 they compare against), limit-check reps >= 1000 (the KS distance's floor
 on each side), cross-moment reps >= 4 (the correlation's standard error)
@@ -465,10 +466,10 @@ def dispatch(
 
     Each finite-n check is gated by ``monte_carlo.require``: a check run
     alone raises its ConfigError, and "all" reports it as skipped.  The
-    checks that pass share one simulation before the checks, one
-    ``sample_statistics`` call: the whole grid when fpe, ape-curve or mse
-    runs, else n_max alone, with APE exactly when ape-curve runs.  The
-    columns at n never depend on these choices.
+    checks that pass share one simulation before the checks,
+    ``monte_carlo.check_columns``: the grid points and columns their NEEDS
+    entries read, APE drawn when excess_ape is asked for.  The columns at
+    n never depend on these choices.
 
     ``out_dir`` is created after the gates, before any simulation; an
     OSError there is a ConfigError.  ``streams.run_pool(workers)`` gives
@@ -489,19 +490,14 @@ def dispatch(
             if subcommand != "all":
                 raise
             skipped[name] = exc.problems[0]
-    runs = {name for name in checks if name not in skipped}
+    runs = [name for name in checks if name not in skipped]
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         problem = f"cannot create output directory {out_dir}: {exc.strerror or exc}"
         raise ConfigError([problem]) from exc
     with run_pool(workers) as pool:
-        columns = {}
-        if runs:
-            grid = config.n_grid if {"fpe", "ape-curve", "mse"} & runs else config.n_grid[-1:]
-            columns = monte_carlo.sample_statistics(
-                config, grid, want_ape="ape-curve" in runs, workers=pool
-            )
+        columns = monte_carlo.check_columns(config, runs, pool) if runs else {}
         failures = 0
         artifacts: dict[str, str] = {}
         for name in names:

@@ -46,24 +46,25 @@ _TOEPLITZ_INDEX = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None] + _BLOCK - 1
 
 KS_MIN_SAMPLES = 1000  # per side of limit_distribution_check
 
-# Every gate of the finite-n checks, in one place: check -> (mode, reps
-# floor, n_grid points floor), each floor (minimum, what for) or None.  The
-# limits a check compares against hold only in its mode.
+# Every gate and read of the finite-n checks, in one place: check -> (mode,
+# reps floor, n_grid points floor, columns read, at "every n" or "n_max"),
+# each floor (minimum, what for) or None; the check's limits hold in mode.
 NEEDS = {
-    "fpe": ("unit-root", None, None),
-    "ape-curve": ("unit-root", None, (3, "points to fit a slope")),
-    "mse": ("unit-root", None, None),
+    "fpe": ("unit-root", None, None, ("fpe_stat",), "every n"),
+    "ape-curve": ("unit-root", None, (3, "points to fit a slope"), ("excess_ape",), "every n"),
+    "mse": ("unit-root", None, None, ("norm_est_sq",), "every n"),
     # the correlation's se divides by sqrt(reps - 3)
-    "cross-moment": ("unit-root", (4, "for the correlation's se"), None),
-    "stationary": ("stationary", None, None),
-    "limit-check": ("unit-root", (KS_MIN_SAMPLES, "finite-n draws"), None),
+    "cross-moment": ("unit-root", (4, "for the correlation's se"), None,
+                     ("x_n_sq_over_n", "norm_est_sq"), "n_max"),
+    "stationary": ("stationary", None, None, ("x_n_sq", "n_est_sq"), "n_max"),
+    "limit-check": ("unit-root", (KS_MIN_SAMPLES, "finite-n draws"), None, ("fpe_stat",), "n_max"),
 }
 _SET_MODE = {"unit-root": "set varsigma = 1", "stationary": "set |varsigma| < 1"}
 
 
 def require(config: ExperimentConfig, check: str) -> None:
     """Raise one ConfigError when ``config`` cannot run ``check`` of NEEDS."""
-    mode, reps, points = NEEDS[check]
+    mode, reps, points = NEEDS[check][:3]
     if mode != ("unit-root" if config.varsigma == 1.0 else "stationary"):
         raise ConfigError([f"{check} compares against {mode} limits; {_SET_MODE[mode]}"])
     floors = (("reps", config.reps, reps), ("n_grid with", len(config.n_grid), points))
@@ -295,14 +296,14 @@ def _path_columns(
     burn: int,
     lead: int,
     grid: tuple[int, ...],
-    want_ape: bool,
+    ape: bool,
     first: int,
 ) -> dict[int, dict]:
     """{n: base per-path quantities} at every n of ``grid`` from
     standardized draws ``z`` (rows, burn + grid[-1] + 1, 2) of the
     ``innovations`` law, row 0 being replication ``first``; the
     quantities are x_n and the estimation error d = beta_hat - beta, plus
-    excess_ape when ``want_ape``.
+    excess_ape when ``ape``.
 
     Each n is scored on prefix slices, bit for bit as a batch drawn at n
     alone.  Every operation acts along axis 1, so row results do not
@@ -351,7 +352,7 @@ def _path_columns(
     for n in grid:
         sums = pairs[:, : n - 1].sum(axis=1)
         cols[n]["d"] = sums.imag / sums.real
-    if want_ape:
+    if ape:
         # the running sums after pairs lead + 1 .. n - 2 (the lead adds
         # exact zeros), whose ratios predict pairs lead + 2 .. n - 1
         scan = pairs[:, lead:]
@@ -368,30 +369,22 @@ def _path_columns(
     return cols
 
 
-def _published_columns(
-    base: dict, beta: float, n: int, names: tuple[str, ...] | None = None
-) -> dict[str, np.ndarray]:
-    """The per-path statistics ``sample_statistics`` returns, or only those
-    of ``names``, derived elementwise from the base quantities of
-    ``_path_columns``; a column has the same bits whichever others are
-    derived."""
-    x_n, d = base["x_n"], base["d"]
-    formulas = {
-        "beta_hat_final": lambda: beta + d,
-        "norm_est_sq": lambda: (n * d) ** 2,
-        "x_n_sq_over_n": lambda: x_n**2 / n,
-        # x_n_sq_over_n times norm_est_sq, by the same operations
-        "fpe_stat": lambda: x_n**2 / n * (n * d) ** 2,
-        "x_n_sq": lambda: x_n**2,
-        "n_est_sq": lambda: n * d**2,
-    }
-    if "excess_ape" in base:
-        formulas["excess_ape"] = lambda: base["excess_ape"]
-    return {name: formulas[name]() for name in (formulas if names is None else names)}
+# The columns ``sample_statistics`` derives, each elementwise from a
+# path's base quantities q at n (see ``_path_columns``) and beta.
+_COLUMNS = {
+    "beta_hat_final": lambda q, n, beta: beta + q["d"],
+    "norm_est_sq": lambda q, n, beta: (n * q["d"]) ** 2,
+    "x_n_sq_over_n": lambda q, n, beta: q["x_n"] ** 2 / n,
+    # x_n_sq_over_n times norm_est_sq, by the same operations
+    "fpe_stat": lambda q, n, beta: q["x_n"] ** 2 / n * (n * q["d"]) ** 2,
+    "x_n_sq": lambda q, n, beta: q["x_n"] ** 2,
+    "n_est_sq": lambda q, n, beta: n * q["d"] ** 2,
+    "excess_ape": lambda q, n, beta: q["excess_ape"],
+}
 
 
 def _block_worker(
-    config: ExperimentConfig, filt: Filter, grid: tuple[int, ...], want_ape: bool,
+    config: ExperimentConfig, filt: Filter, grid: tuple[int, ...], ape: bool,
     tile: int, block: range,
 ) -> dict:
     """{n: base columns} of the replications in ``block``, drawn and scored
@@ -413,7 +406,7 @@ def _block_worker(
         z = draws[: 2 * rows * width].reshape(rows, width, 2)
         scored = _path_columns(
             _draws(streams, config.innovations.family, z), (draws, planes),
-            config.innovations, filt, config.varsigma, burn, lead, grid, want_ape,
+            config.innovations, filt, config.varsigma, burn, lead, grid, ape,
             block.start + lo,
         )
         for n, cols in scored.items():
@@ -427,14 +420,16 @@ def _block_worker(
 def sample_statistics(
     config: ExperimentConfig,
     grid: tuple[int, ...],
-    want_ape: bool | None = None,
-    workers: int | Executor | None = None,
     columns: tuple[str, ...] | None = None,
+    workers: int | Executor | None = None,
 ) -> dict[int, dict[str, np.ndarray]]:
     """{n: per-path statistic columns over all replications} for each n of
     ``grid``, from one pass: each replication is drawn, filtered and
     integrated once at the largest n, and smaller n score its prefixes.
-    ``columns`` names the columns to derive (None: every one).
+    ``columns`` names the columns to derive (None: every one, excess_ape
+    only when ``config.statistics`` names it), a ValueError before any
+    draw if it names none or one off the menu; APE is drawn when
+    excess_ape is asked for.
 
     The work units are blocks of consecutive replications, at most
     ``_CHUNK`` of them and about ``_ROW_VALUES`` draws; ``streams.map_units``
@@ -448,29 +443,38 @@ def sample_statistics(
     The columns at n are bit-identical to those of a call with grid (n,),
     whatever the worker count or tile size: streams are keyed by
     replication index, and the filter's BLAS products have one shape (see
-    ``_filtered_rows``).  With or without ``want_ape``, every column
-    returned has the same bits.  No path is redrawn: a path whose x_{lead+1}
+    ``_filtered_rows``).  Every column has the same bits whichever others
+    are asked for, APE or not.  No path is redrawn: a path whose x_{lead+1}
     is 0 (see ``_path_columns``) raises DegeneratePathError, naming the
     lowest such replication index whatever the worker count or tile size.
     """
+    if columns is None:
+        columns = tuple(c for c in _COLUMNS if c != "excess_ape" or c in config.statistics)
+    if not columns or not set(columns) <= set(_COLUMNS):
+        raise ValueError(f"columns must name some of {tuple(_COLUMNS)}, got {columns}")
     grid = tuple(sorted(set(grid)))
-    if want_ape is None:
-        want_ape = "excess_ape" in config.statistics
     filt = materialize_filter(config.filter_spec)
     width = stationary_burn_in(config.varsigma) + grid[-1] + 1
     rows = min(_CHUNK, max(4, _ROW_VALUES // (2 * width)))
     # a tile row holds its path rounded up to whole blocks of the filter
     tile = tile_rows(rows, 2 * _BLOCK * -(-width // _BLOCK))
-    work = partial(_block_worker, config, filt, grid, want_ape, tile)
+    work = partial(_block_worker, config, filt, grid, "excess_ape" in columns, tile)
     blocks = [range(s, min(s + rows, config.reps)) for s in range(0, config.reps, rows)]
     results = map_units(work, blocks, workers)
-    return {
-        n: _published_columns(
-            {name: np.concatenate([r[n][name] for r in results]) for name in results[0][n]},
-            config.beta, n, columns,
-        )
-        for n in grid
-    }
+    base = {n: {q: np.concatenate([r[n][q] for r in results]) for q in results[0][n]}
+            for n in grid}
+    return {n: {name: _COLUMNS[name](base[n], n, config.beta) for name in columns} for n in grid}
+
+
+def check_columns(
+    config: ExperimentConfig, checks, workers: int | Executor | None = None
+) -> dict[int, dict[str, np.ndarray]]:
+    """The one ``sample_statistics`` call the finite-n ``checks`` share, as
+    NEEDS says: every grid n if one reads every n, else n_max alone, and
+    every column one of them reads."""
+    names, where = zip(*(NEEDS[check][3:] for check in checks))
+    grid = config.n_grid if "every n" in where else config.n_grid[-1:]
+    return sample_statistics(config, grid, tuple(dict.fromkeys(sum(names, ()))), workers)
 
 
 def _mean_se(a: np.ndarray) -> tuple[float, float]:
@@ -523,7 +527,7 @@ def summarize(
 
 def run(config: ExperimentConfig, workers: int | Executor | None = None) -> list[McSummary]:
     """Mean and MC standard error of each requested statistic at each n."""
-    columns = sample_statistics(config, config.n_grid, workers=workers)
+    columns = sample_statistics(config, config.n_grid, config.statistics, workers)
     return [
         summarize(config, stat, n, columns[n][stat])
         for n in config.n_grid
@@ -594,13 +598,12 @@ def cross_moment_from(columns: dict, n: int) -> dict:
     }
 
 
-def _at_n_max(config: ExperimentConfig, check: str, contrast_from, reads, workers) -> dict:
-    """``contrast_from`` of the columns at the largest n, gated as ``check``;
-    only the columns named in ``reads`` are derived."""
+def _at_n_max(config: ExperimentConfig, check: str, contrast_from, workers) -> dict:
+    """``contrast_from`` of the columns ``check`` reads at the largest n,
+    gated as ``check``."""
     require(config, check)
     n = config.n_grid[-1]
-    columns = sample_statistics(config, (n,), want_ape=False, workers=workers, columns=reads)
-    return contrast_from(columns[n], n)
+    return contrast_from(check_columns(config, (check,), workers)[n], n)
 
 
 def cross_moment(config: ExperimentConfig, workers: int | Executor | None = None) -> dict:
@@ -611,9 +614,7 @@ def cross_moment(config: ExperimentConfig, workers: int | Executor | None = None
     per-path fpe_stat by construction; the marginal product estimates the
     limit of the decoupled moments.
     """
-    return _at_n_max(
-        config, "cross-moment", cross_moment_from, ("x_n_sq_over_n", "norm_est_sq"), workers
-    )
+    return _at_n_max(config, "cross-moment", cross_moment_from, workers)
 
 
 def stationary_comparison_from(columns: dict, n: int) -> dict:
@@ -638,9 +639,7 @@ def stationary_comparison(config: ExperimentConfig, workers: int | Executor | No
     Both tend to sigma^2 and decouple in the limit, the contrast with the
     unit-root cross moment.
     """
-    return _at_n_max(
-        config, "stationary", stationary_comparison_from, ("x_n_sq", "n_est_sq"), workers
-    )
+    return _at_n_max(config, "stationary", stationary_comparison_from, workers)
 
 
 def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

@@ -248,12 +248,13 @@ def run_pool(workers: int | None = None) -> ProcessPoolExecutor | nullcontext:
 def map_units(fn, units, workers: int | Executor | None = None) -> list:
     """``[fn(u) for u in units]``, in unit order.
 
-    ``workers`` is an open pool, mapped over and left open, or a process
-    count (None: the usable cores) for a pool of this call's own.  One
-    unit, or a count that leaves one process, runs serially.
+    ``workers`` is an open pool, mapped over and left open, which takes
+    every unit, even one, so a run's own process draws nothing; or a
+    process count (None: the usable cores) for a pool of this call's own,
+    serial for one unit or a count that leaves one process.
     """
     units = list(units)
-    if len(units) > 1 and hasattr(workers, "map"):
+    if hasattr(workers, "map"):
         return list(workers.map(fn, units))
     processes = _processes(workers, len(units)) if len(units) > 1 else 1
     if processes < 2:

@@ -375,6 +375,65 @@ def test_every_finite_n_subcommand_has_needs():
     assert set(monte_carlo.NEEDS) == set(SUBCOMMANDS) - {"constants", "all"}
 
 
+def _walk(varsigma=1.0):
+    return ExperimentConfig(
+        filter_spec=FilterSpec(family="finite", coeffs=(1.0,)),
+        innovations=InnovationSpec(pi=0.5), varsigma=varsigma,
+        n_grid=(40, 80, 160), reps=1000, base_seed=13,
+    )
+
+
+def _derived(monkeypatch):
+    """Each shared simulation's (columns derived, {APE drawn?} over its tiles)."""
+    seen, drawn = [], set()
+    share, score = monte_carlo.check_columns, monte_carlo._path_columns
+
+    def scored(*args):
+        cols = score(*args)
+        drawn.update("excess_ape" in base for base in cols.values())
+        return cols
+
+    def shared(*args, **kwargs):
+        out = share(*args, **kwargs)
+        seen.append(({name for cols in out.values() for name in cols}, set(drawn)))
+        drawn.clear()
+        return out
+
+    monkeypatch.setattr(monte_carlo, "_path_columns", scored)
+    monkeypatch.setattr(monte_carlo, "check_columns", shared)
+    return seen
+
+
+def test_all_derives_the_columns_its_checks_read(tmp_path, monkeypatch):
+    seen = _derived(monkeypatch)
+    targets = Targets(m_log2=6, bm_reps=200, limit_reps=1000)
+    dispatch("all", _walk(), targets, out_dir=tmp_path, workers=1, stream=io.StringIO())
+    union = {name for mode, *_, names, _ in monte_carlo.NEEDS.values() if mode == "unit-root"
+             for name in names}
+    assert union == {"fpe_stat", "excess_ape", "norm_est_sq", "x_n_sq_over_n"}
+    assert seen == [(union, {True})]  # APE, since ape-curve runs
+
+
+def test_an_n_max_check_derives_only_its_two_columns(tmp_path, monkeypatch):
+    seen = _derived(monkeypatch)
+    dispatch("cross-moment", _walk(), out_dir=tmp_path, workers=1, stream=io.StringIO())
+    monte_carlo.stationary_comparison(_walk(varsigma=0.5), workers=1)
+    assert seen == [
+        ({"x_n_sq_over_n", "norm_est_sq"}, {False}), ({"x_n_sq", "n_est_sq"}, {False})
+    ]
+
+
+def test_each_handler_reads_only_what_its_needs_entry_names():
+    # a column a handler reads but its NEEDS entry does not name is a KeyError
+    targets = Targets(m_log2=6, bm_reps=200, limit_reps=1000)
+    for name, handler in cli._HANDLERS.items():
+        if name not in monte_carlo.NEEDS:
+            handler(_walk(), targets, {}, 1)
+            continue
+        config = _walk(1.0 if monte_carlo.NEEDS[name][0] == "unit-root" else 0.5)
+        handler(config, targets, monte_carlo.check_columns(config, (name,), 1), 1)
+
+
 @pytest.mark.parametrize(
     "subcommand,edits,problems",
     [

@@ -3,6 +3,7 @@ import decimal
 import inspect
 import math
 import os
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,10 @@ README_FILTER = FilterSpec(family="geometric", a=1.0, r=0.5)  # 27 taps
 # 12 leading zero taps against varsigma 0's burn-in of 10: x_1 and x_2 are
 # 0 on every path, so pair 3 makes the first estimate and pair 4 is scored
 LEAD_FILTER = FilterSpec(family="finite", coeffs=(0.0,) * 12 + (1.0, 0.3))
+# every column sample_statistics derives, and all but excess_ape: APE is
+# drawn only for the first
+WITH_APE = tuple(monte_carlo._COLUMNS)
+NO_APE = tuple(c for c in WITH_APE if c != "excess_ape")
 
 
 def config(**kw) -> ExperimentConfig:
@@ -271,14 +276,14 @@ def _assert_grid_matches_points(cfg, **kwargs):
     return together
 
 
-@pytest.mark.parametrize("want_ape", [True, False], ids=["ape", "no_ape"])
+@pytest.mark.parametrize("columns", [WITH_APE, NO_APE], ids=["ape", "no_ape"])
 @pytest.mark.parametrize("filter_spec,innov,varsigma", GRID_CASES)
-def test_grid_points_equal_single_point_bits(filter_spec, innov, varsigma, want_ape):
+def test_grid_points_equal_single_point_bits(filter_spec, innov, varsigma, columns):
     cfg = ExperimentConfig(
         filter_spec=filter_spec, innovations=innov, beta=0.8, varsigma=varsigma,
         n_grid=(5, 20, 60, 300), reps=150, base_seed=11,
     )
-    _assert_grid_matches_points(cfg, want_ape=want_ape)
+    _assert_grid_matches_points(cfg, columns=columns)
 
 
 @pytest.mark.parametrize("varsigma", [0.5, -0.9])
@@ -289,7 +294,7 @@ def test_grid_points_equal_single_point_bits_on_long_stationary_rows(varsigma):
     n_max = 2100
     assert stationary_burn_in(varsigma) + n_max >= 64 * monte_carlo._BLOCK
     cfg = config(reps=40, n_grid=(60, n_max), varsigma=varsigma, base_seed=3)
-    _assert_grid_matches_points(cfg, want_ape=True)
+    _assert_grid_matches_points(cfg, columns=WITH_APE)
 
 
 def test_grid_points_equal_single_point_bits_in_a_pool(monkeypatch):
@@ -394,11 +399,11 @@ def test_excess_ape_is_accurate_to_rounding():
     ],
     ids=["readme-unit-root", "laplace-stationary"],
 )
-def test_columns_do_not_depend_on_want_ape(kw):
+def test_columns_do_not_depend_on_ape(kw):
     # the running sums run only for APE; every other column is the same
     cfg = config(n_grid=(40, 300), reps=200, **kw)
-    with_ape = sample_statistics(cfg, cfg.n_grid, want_ape=True)
-    without = sample_statistics(cfg, cfg.n_grid, want_ape=False)
+    with_ape = sample_statistics(cfg, cfg.n_grid, WITH_APE)
+    without = sample_statistics(cfg, cfg.n_grid, NO_APE)
     for n, cols in without.items():
         assert set(cols) < set(with_ape[n])
         for key, col in cols.items():
@@ -431,7 +436,7 @@ def test_every_blas_product_has_one_shape(monkeypatch):
 
 
 def test_fpe_column_is_exact_product():
-    arrays = sample_statistics(config(reps=500), (100,), want_ape=False)[100]
+    arrays = sample_statistics(config(reps=500), (100,))[100]
     assert np.array_equal(
         arrays["fpe_stat"], arrays["x_n_sq_over_n"] * arrays["norm_est_sq"]
     )
@@ -498,7 +503,17 @@ def test_unscoreable_model_aborts(monkeypatch):
     _zero_omega(monkeypatch, lambda z: slice(None))
     with pytest.raises(DegeneratePathError, match="^path 0: x_1\\^2 is 0, so no estimate "
                        "exists to predict pair 2$"):
-        sample_statistics(config(reps=100, n_grid=(3,)), (3,), want_ape=False)
+        sample_statistics(config(reps=100, n_grid=(3,)), (3,))
+
+
+@pytest.mark.parametrize("columns", [("fpe_stat", "fpe"), ()], ids=["unknown", "none"])
+def test_a_column_off_the_menu_is_refused_before_any_draw(monkeypatch, columns):
+    def never(*args):
+        raise AssertionError("drew a path")
+
+    monkeypatch.setattr(monte_carlo, "_draws", never)
+    with pytest.raises(ValueError, match=f"columns must name some of {re.escape(str(WITH_APE))}"):
+        sample_statistics(config(), (100,), columns, workers=1)
 
 
 def test_first_degenerate_path_ends_the_run(monkeypatch):
@@ -581,7 +596,7 @@ def test_stationary_comparison_requires_stationary():
 def test_cross_moment_joint_equals_mean_fpe():
     cfg = config(reps=3000, n_grid=(500,))
     out = cross_moment(cfg)
-    arrays = sample_statistics(cfg, (500,), want_ape=False)[500]
+    arrays = sample_statistics(cfg, (500,))[500]
     assert out["joint"] == float(np.sum(arrays["fpe_stat"]) / 3000)
     assert out["n"] == 500 and out["reps"] == 3000
     assert out["corr"] < 0.0
@@ -649,7 +664,7 @@ def test_fpe_deviation_monotone_on_median():
         devs = []
         for seed in range(100, 105):
             cfg = config(base_seed=seed, reps=25_000, n_grid=(n,))
-            mean = float(np.mean(sample_statistics(cfg, (n,), want_ape=False)[n]["fpe_stat"]))
+            mean = float(np.mean(sample_statistics(cfg, (n,))[n]["fpe_stat"]))
             devs.append(abs(mean - 2.0))
         medians.append(float(np.median(devs)))
     assert medians[0] > medians[1] > medians[2]

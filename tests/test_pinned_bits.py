@@ -66,14 +66,14 @@ def test_laplace_stationary():
 
 
 def test_cross_moment_shape_without_ape():
-    # want_ape=False at one n, as cross_moment and stationary_comparison
-    # call it; 27 taps, and 300 reps in tiles of 32 rows
+    # no APE at one n, as cross_moment and stationary_comparison call it;
+    # 27 taps, and 300 reps in tiles of 32 rows
     cfg = ExperimentConfig(
         filter_spec=FilterSpec(family="geometric", a=1.0, r=0.5),
         innovations=InnovationSpec(sigma_omega_sq=1.5, sigma_sq=1.0, pi=-0.4),
         beta=1.2, n_grid=(2000,), reps=300, base_seed=7,
     )
-    assert _columns_digest(sample_statistics(cfg, cfg.n_grid, want_ape=False)) == (
+    assert _columns_digest(sample_statistics(cfg, cfg.n_grid)) == (
         "3886eb86b6cca93e3b3b623bff2d3b09ef79169e3da01a3e918700eefad06ab3"
     )
 

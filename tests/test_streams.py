@@ -196,8 +196,8 @@ def test_map_units_takes_a_count_or_an_open_pool(counting_pool):
         assert pool.submit(_square, 3).result() == 9  # left open
     stand_in = streams.ProcessPoolExecutor(max_workers=2)  # counting_pool's serial stand-in
     assert streams.map_units(_square, range(5), stand_in) == squares
-    assert streams.map_units(_square, [4], stand_in) == [16]  # one unit: serial
-    assert counting_pool == ([2], [5])
+    assert streams.map_units(_square, [4], stand_in) == [16]  # one unit goes to the pool too
+    assert counting_pool == ([2], [5, 1])
 
 
 def test_run_over_a_callers_pool_equals_serial(monkeypatch):
